@@ -173,6 +173,7 @@ class Dfg {
     return nodes_[static_cast<std::size_t>(id)];
   }
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
+  [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
 
   [[nodiscard]] const std::vector<NodeId>& inputs() const { return inputs_; }
   [[nodiscard]] const std::vector<NodeId>& outputs() const { return outputs_; }

@@ -281,8 +281,9 @@ struct SampledCampaignOptions {
   /// ONLY at block boundaries over the prefix evaluated so far, which is a
   /// pure function of (options, sample_seed, block) — never of thread
   /// count, lane width or backend — so every configuration stops after the
-  /// same number of jobs (tests/test_sampled_campaign.cpp holds this at
-  /// threads 1/2/8).
+  /// same number of jobs (SampledCampaign.
+  /// EarlyStopIsDeterministicAcrossThreadsAndBackends in
+  /// tests/test_netlist_duration.cpp holds this at threads 1/2/8).
   std::size_t block = 256;
   /// Stop once the Wilson half-width on detection coverage is ≤ this.
   double target_half_width = 0.02;

@@ -6,19 +6,23 @@
 //   u64 payload length | payload bytes
 //   u64 FNV-1a checksum over everything before it
 //
-// (all integers little-endian) — the same magic/version/length/checksum
-// framing discipline as the store entries in src/store/store.cpp, and the
-// same robustness contract: the checksum is verified FIRST, so a frame
-// with ANY flipped or missing byte is rejected before a single payload
-// field is parsed; decoders bounds-check every read and validate every
-// enum, index and arity, returning std::nullopt instead of ever crashing
-// or deserializing garbage (tests/test_service_wire.cpp flips and
-// truncates every byte to hold this). A version-mismatched frame and a
+// (all integers little-endian) — a sealed frame of common/codec.h, the
+// one framing the store entries and journal records share, with the same
+// robustness contract: the checksum is verified FIRST, so a frame with
+// ANY flipped or missing byte is rejected before a single payload field
+// is parsed; decoders bounds-check every read and validate every enum,
+// index and arity, returning std::nullopt instead of ever crashing or
+// deserializing garbage (tests/test_service_wire.cpp flips and truncates
+// every byte to hold this; tests/test_codec_fuzz.cpp mutates payloads
+// behind a resealed checksum). A version-mismatched frame and a
 // length prefix beyond kMaxFramePayload are rejected from the fixed
 // header alone — the streaming FrameBuffer refuses them before buffering
 // a payload.
 //
-// Payload codecs cover the full campaign-service vocabulary: worker
+// Payloads are the canonical encodings of one visit per type (the
+// campaign types' visits live in hls/serialize.h, the same field
+// descriptions the store fingerprint hashes). They cover the full
+// campaign-service vocabulary: worker
 // capability negotiation (Hello/HelloAck), campaign setup (the reference
 // Dfg + the synthesized Netlist + NetlistCampaignOptions — workers
 // recompile the ExecPlan locally, which is deterministic), fault-universe

@@ -1,30 +1,33 @@
 // Stable campaign fingerprints — the content address of the result store.
 //
 // A campaign's NetlistCampaignResult is a pure function of (reference
-// graph, compiled execution plan + the netlist identity behind it, fault
-// universe, stream mode + seed, sample count, the backend-invariant
-// campaign options) — the determinism discipline of PRs 1-5 proves the
-// backend, lane packing and thread count cannot change a single bit. The
-// fingerprint hashes exactly that input tuple into a 128-bit key, byte for
-// byte and in a pinned order, so the same campaign always maps to the same
-// on-disk entry on every platform (all values are serialized into the hash
-// as fixed-width little-endian bytes — native endianness and integer sizes
-// never leak in).
+// graph, synthesized netlist, compiled execution plan, fault universe,
+// the result-shaping campaign options) — the determinism discipline of
+// the differential suites proves the backend, lane packing and thread
+// count cannot change a single bit. The fingerprint digests exactly that
+// tuple into a 128-bit key by streaming the CANONICAL ENCODING of each
+// input (the visits of hls/serialize.h, the same field descriptions the
+// wire codec ships) through a two-lane FNV-1a hasher, so the same campaign
+// maps to the same on-disk entry on every platform.
 //
 // POISONING HAZARD: anything that changes the numerical result of a
 // campaign but is NOT hashed here would silently alias distinct campaigns
-// onto one cache slot. The converse (hashing something irrelevant) only
-// costs misses. When in doubt, hash it — and when the hashed-input
-// enumeration itself changes, bump kFingerprintVersion so every stale
-// entry misses instead of colliding (tests/test_store.cpp pins golden
-// fingerprint values to make accidental drift loud).
+// onto one cache slot. Hashing whole visits closes that by construction: a
+// member added to a visited struct fails the build until its visit names
+// it, and from then on it is both shipped and hashed. The only omissions
+// are the named kResultInvariantOptions. The converse (hashing something
+// irrelevant) only costs misses. When the hashed inputs change, bump
+// kFingerprintVersion so every stale entry misses instead of colliding
+// (tests/test_store.cpp pins golden fingerprint values to make accidental
+// drift loud).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <string_view>
+#include <tuple>
 
+#include "common/codec.h"
 #include "hls/dfg.h"
 #include "hls/netlist_campaign.h"
 #include "hls/netlist_exec.h"
@@ -34,7 +37,17 @@ namespace sck::store {
 /// Hashed-input enumeration generation. Bump when campaign_fingerprint
 /// starts hashing different inputs (or the same inputs differently):
 /// every entry written under the old enumeration then misses cleanly.
-inline constexpr std::uint64_t kFingerprintVersion = 2;
+/// v3: hashes the canonical encodings, including the netlist register
+/// table that sizes and names the SEU universe.
+inline constexpr std::uint64_t kFingerprintVersion = 3;
+
+/// The options the fingerprint leaves out — reset to their defaults before
+/// hashing — because the differential suites prove they cannot change a
+/// result bit; hashing them would only split the cache.
+inline constexpr std::tuple kResultInvariantOptions{
+    &hls::NetlistCampaignOptions::threads,
+    &hls::NetlistCampaignOptions::backend,
+    &hls::NetlistCampaignOptions::lanes};
 
 /// 128-bit content address of one campaign.
 struct Fingerprint {
@@ -47,49 +60,21 @@ struct Fingerprint {
 /// 32 lowercase hex digits, hi first — the on-disk entry name.
 [[nodiscard]] std::string to_string(const Fingerprint& fp);
 
-/// Incremental two-lane FNV-1a/64 hasher with a SplitMix64 finalizer.
-/// Order-sensitive: callers must feed fields in a pinned sequence.
-/// Collisions are not adversarially hard (this is a cache key, not a
-/// security boundary) — every store entry therefore echoes its full
-/// fingerprint and payload checksum, so a colliding or misplaced entry is
-/// rejected on read rather than trusted.
-class FingerprintHasher {
- public:
-  /// Feed one 64-bit value as 8 little-endian bytes.
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      byte(static_cast<unsigned char>(v >> (8 * i)));
-    }
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void boolean(bool v) { u64(v ? 1 : 0); }
-  /// Length-prefixed, so ("ab", "c") never hashes like ("a", "bc").
-  void str(std::string_view s) {
-    u64(s.size());
-    for (const char c : s) byte(static_cast<unsigned char>(c));
-  }
+template <class V, codec::Is<Fingerprint> T>
+void visit(V& v, T& fp) {
+  auto& [hi, lo] = fp;
+  v(hi, lo);
+}
 
-  [[nodiscard]] Fingerprint finish() const;
-
- private:
-  void byte(unsigned char b) {
-    a_ = (a_ ^ b) * kPrime;
-    b_ = (b_ ^ b) * kPrime;
-  }
-
-  static constexpr std::uint64_t kPrime = 0x100000001B3ULL;
-  std::uint64_t a_ = 0xCBF29CE484222325ULL;  ///< FNV-1a offset basis
-  std::uint64_t b_ = 0x6C62272E07BB0142ULL;  ///< second lane, distinct basis
-};
-
-/// The campaign key: hashes the reference graph (semantics + input widths
-/// that shape the stimuli), the compiled plan (the executed structure),
-/// the netlist's FU identities (their names are part of the result's
-/// per-unit breakdown), the complete per-FU stuck-at universe, and the
-/// backend-invariant campaign options (samples, seed, stride, stream
-/// mode, fault dropping — NOT backend or threads, which are proven not to
-/// affect results). `plan` must be compiled from the netlist the campaign
-/// will run (plan.netlist is read for FU identity and fault universes).
+/// The campaign key: hashes, in this order, kFingerprintVersion, the
+/// reference graph (semantics + input widths that shape the stimuli), the
+/// whole netlist (FU identities, whose names are part of the per-unit
+/// breakdown; the register table, whose widths and names size and name
+/// the SEU universe; ports, state loads and microcode), the campaign
+/// options minus kResultInvariantOptions, the compiled plan (the executed
+/// structure) and the complete per-FU stuck-at universe. `plan` must be
+/// compiled from the netlist the campaign will run (plan.netlist is the
+/// netlist hashed).
 [[nodiscard]] Fingerprint campaign_fingerprint(
     const hls::Dfg& graph, const hls::ExecPlan& plan,
     const hls::NetlistCampaignOptions& options);

@@ -10,6 +10,9 @@
 #include <set>
 #include <utility>
 
+#include "common/codec.h"
+#include "hls/serialize.h"
+
 namespace sck::store {
 
 namespace {
@@ -17,49 +20,9 @@ namespace {
 /// "SCKJRNL\0" as a little-endian u64.
 constexpr std::uint64_t kJournalMagic = 0x004C4E524A'4B4353ULL;
 
-/// magic + version/reserved + key echo + job count + checksum.
-constexpr std::size_t kJournalHeaderBytes = 8 + 4 + 4 + 8 + 8 + 8 + 8;
-
 /// Record body prefix: shard_id + base + count.
 constexpr std::size_t kRecordFixedBytes = 8 + 8 + 8;
 constexpr std::size_t kStatsBytes = 4 * 8;
-
-void put_u64(std::vector<unsigned char>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<unsigned char>(v >> (8 * i)));
-  }
-}
-
-void put_u32(std::vector<unsigned char>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<unsigned char>(v >> (8 * i)));
-  }
-}
-
-[[nodiscard]] std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] std::uint64_t fnv1a(const unsigned char* data,
-                                  std::size_t size) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h = (h ^ data[i]) * 0x100000001B3ULL;
-  }
-  return h;
-}
 
 [[nodiscard]] bool write_all(int fd, const unsigned char* data,
                              std::size_t size) {
@@ -79,38 +42,16 @@ void put_u32(std::vector<unsigned char>& out, std::uint32_t v) {
 
 std::vector<unsigned char> serialize_journal_header(const Fingerprint& key,
                                                     std::uint64_t job_count) {
-  std::vector<unsigned char> out;
-  out.reserve(kJournalHeaderBytes);
-  put_u64(out, kJournalMagic);
-  put_u32(out, kJournalFormatVersion);
-  put_u32(out, 0);  // reserved
-  put_u64(out, key.hi);
-  put_u64(out, key.lo);
-  put_u64(out, job_count);
-  put_u64(out, fnv1a(out.data(), out.size()));
-  return out;
+  return codec::seal(kJournalMagic, kJournalFormatVersion, std::uint32_t{0},
+                     key, job_count);
 }
 
 std::vector<unsigned char> serialize_journal_record(
     std::uint64_t shard_id, std::uint64_t base,
     std::span<const fault::CampaignStats> per_job) {
-  std::vector<unsigned char> out;
-  const std::size_t body = kRecordFixedBytes + per_job.size() * kStatsBytes;
-  out.reserve(8 + body + 8);
-  put_u64(out, body);
-  put_u64(out, shard_id);
-  put_u64(out, base);
-  put_u64(out, per_job.size());
-  for (const fault::CampaignStats& s : per_job) {
-    put_u64(out, s.silent_correct);
-    put_u64(out, s.detected_correct);
-    put_u64(out, s.detected_erroneous);
-    put_u64(out, s.masked);
-  }
-  // Checksum over the length prefix AND the body: a torn length cannot
-  // steer recovery into misparsing the tail as a fresh record.
-  put_u64(out, fnv1a(out.data(), out.size()));
-  return out;
+  // Sealed over the length prefix AND the body: a torn length cannot steer
+  // recovery into misparsing the tail as a fresh record.
+  return codec::seal(codec::encode(shard_id, base, per_job));
 }
 
 ShardJournal::ShardJournal(std::string path, const Fingerprint& key,
@@ -149,47 +90,36 @@ ShardJournal::ShardJournal(std::string path, const Fingerprint& key,
   // match). Anything else — including a pre-existing empty file — is a
   // reset: never resume from a journal that was not provably ours.
   std::size_t valid = 0;
-  if (bytes.size() >= kJournalHeaderBytes &&
+  if (bytes.size() >= want_header.size() &&
       std::equal(want_header.begin(), want_header.end(), bytes.begin())) {
-    valid = kJournalHeaderBytes;
+    valid = want_header.size();
     std::set<std::uint64_t> seen;
     while (valid < bytes.size()) {
-      const std::size_t remaining = bytes.size() - valid;
-      if (remaining < 8) break;  // torn length prefix
-      const std::uint64_t body = get_u64(bytes.data() + valid);
-      // Bound the body before trusting it: a record can describe at most
-      // the whole job universe.
-      if (body < kRecordFixedBytes ||
+      const auto rest = std::span<const unsigned char>(bytes).subspan(valid);
+      std::uint64_t body = 0;
+      codec::Reader length(rest);
+      length(body);
+      // A torn length prefix fails the read. Bound the body before trusting
+      // it: a record can describe at most the whole job universe.
+      if (!length.ok() || body < kRecordFixedBytes ||
           body > kRecordFixedBytes + job_count * kStatsBytes) {
         break;
       }
-      if (remaining < 8 + body + 8) break;  // torn record or checksum
-      const std::uint64_t want_sum =
-          get_u64(bytes.data() + valid + 8 + body);
-      if (fnv1a(bytes.data() + valid, 8 + static_cast<std::size_t>(body)) !=
-          want_sum) {
-        break;  // bit rot / torn rewrite: nothing after it is trusted
-      }
-      const unsigned char* p = bytes.data() + valid + 8;
+      if (rest.size() < 8 + body + 8) break;  // torn record or checksum
+      std::optional<codec::Reader> r =
+          codec::unseal(rest.first(8 + static_cast<std::size_t>(body) + 8));
+      if (!r) break;  // bit rot / torn rewrite: nothing after it is trusted
       JournalShard shard;
-      shard.shard_id = get_u64(p);
-      shard.base = get_u64(p + 8);
-      const std::uint64_t count = get_u64(p + 16);
-      if (kRecordFixedBytes + count * kStatsBytes != body) break;
-      if (shard.base > job_count || count > job_count - shard.base) break;
+      (*r)(body, shard.shard_id, shard.base, shard.per_job);
+      if (!r->done()) break;  // the count must fill the body exactly
+      if (shard.base > job_count ||
+          shard.per_job.size() > job_count - shard.base) {
+        break;
+      }
       valid += 8 + static_cast<std::size_t>(body) + 8;
       if (!seen.insert(shard.shard_id).second) {
         ++recovery_.duplicates;  // pre-crash re-queue duplicate: first wins
         continue;
-      }
-      shard.per_job.resize(static_cast<std::size_t>(count));
-      const unsigned char* q = p + kRecordFixedBytes;
-      for (fault::CampaignStats& s : shard.per_job) {
-        s.silent_correct = get_u64(q);
-        s.detected_correct = get_u64(q + 8);
-        s.detected_erroneous = get_u64(q + 16);
-        s.masked = get_u64(q + 24);
-        q += kStatsBytes;
       }
       recovery_.shards.push_back(std::move(shard));
     }

@@ -23,6 +23,8 @@
 //   record:  u64 body length | body | u64 FNV-1a checksum over length+body
 //            body = u64 shard_id | u64 base | u64 count
 //                   | count x (4 x u64 CampaignStats)
+// Both are sealed frames of common/codec.h; the stats use the shared
+// CampaignStats visit (hls/serialize.h).
 //
 // Robustness contract:
 //  - appends are atomic-or-truncated: each record is written in one

@@ -18,8 +18,10 @@
 //   u64 magic "SCKSTORE" | u32 format version | u32 reserved(0)
 //   u64 fingerprint.hi | u64 fingerprint.lo   (echoed key: a renamed or
 //                                              hash-colliding file misses)
-//   u64 payload length | payload (serialized NetlistCampaignResult)
+//   u64 payload length | payload (the wire codec's NetlistCampaignResult
+//                                 encoding, hls/serialize.h)
 //   u64 FNV-1a checksum over everything before it
+// (a sealed frame of common/codec.h, the framing wire and journal share)
 //
 // Robustness contract:
 //  - writes are crash-safe: payload lands in a unique temp file, is
@@ -55,7 +57,9 @@ namespace sck::store {
 /// On-disk entry format generation. Bump on any serialization change:
 /// entries of another version are quarantined on read (version-mismatch
 /// rejection) and rewritten fresh.
-inline constexpr std::uint32_t kStoreFormatVersion = 1;
+/// v2: the payload is the wire's NetlistCampaignResult encoding (fu_index
+/// as i32, no longer a sign-extended u64).
+inline constexpr std::uint32_t kStoreFormatVersion = 2;
 
 /// Store health counters, reported next to the exploration report. The
 /// counters describe cache behaviour only — by construction they cannot

@@ -133,14 +133,36 @@ TEST(Fingerprint, PinnedGoldenValues) {
 
   EXPECT_EQ(to_string(store::campaign_fingerprint(ced.graph, ced.plan,
                                                   small_options())),
-            "08940dc6130cb7488aec08fd43c89c91");
+            "59fd298a6cfeba2d9805621e1cc6ccdc");
   EXPECT_EQ(to_string(store::campaign_fingerprint(plain.graph, plain.plan,
                                                   small_options())),
-            "c9f569037cd0d5f4ced56a2f692c201a");
+            "efd9e9dd8f3f6409f80bfddc12970a0a");
   EXPECT_EQ(to_string(store::campaign_fingerprint(
                 other_coeffs.graph, other_coeffs.plan, small_options())),
-            "af033616d70e87726a3c52625794c035");
+            "28a961beabf4945665d357b57d79a152");
 }
+
+enum class RegisterEdit { kRename, kNarrow };
+
+/// `base` with its first register renamed or narrowed by one bit, and the
+/// plan compiled from it (built in place: the plan points at the netlist).
+struct AlteredNetlist {
+  hls::Netlist netlist;
+  hls::ExecPlan plan;
+
+  AlteredNetlist(const hls::Netlist& base, RegisterEdit edit)
+      : netlist(base) {
+    if (edit == RegisterEdit::kRename) {
+      netlist.regs[0].name += "_renamed";
+    } else {
+      netlist.regs[0].width -= 1;
+    }
+    plan = hls::compile_execution_plan(netlist);
+  }
+
+  AlteredNetlist(const AlteredNetlist&) = delete;
+  AlteredNetlist& operator=(const AlteredNetlist&) = delete;
+};
 
 TEST(Fingerprint, SensitiveToResultShapingInputsOnly) {
   const SmallDesign d;
@@ -189,6 +211,20 @@ TEST(Fingerprint, SensitiveToResultShapingInputsOnly) {
   o.seu_faults = true;
   EXPECT_FALSE(store::campaign_fingerprint(d.graph, d.plan, o) == fp0);
 
+  // The netlist register table (version 3): under seu_faults the job
+  // universe is sized by regs[r].width and its units are named
+  // "seu:" + regs[r].name, so renaming or narrowing a register must split
+  // the key (version 2 hashed neither and aliased both).
+  const store::Fingerprint seu_fp =
+      store::campaign_fingerprint(d.graph, d.plan, o);
+  for (const RegisterEdit edit : {RegisterEdit::kRename, RegisterEdit::kNarrow}) {
+    const AlteredNetlist altered(d.netlist, edit);
+    EXPECT_FALSE(store::campaign_fingerprint(d.graph, altered.plan, o) ==
+                 seu_fp)
+        << (edit == RegisterEdit::kRename ? "renamed" : "narrowed")
+        << " register aliased the SEU campaign";
+  }
+
   // ...and the proven-irrelevant knobs must NOT (the differential suites
   // hold results bit-identical across backends and thread counts, so
   // hashing them would only split the cache).
@@ -216,6 +252,34 @@ TEST(Fingerprint, SensitiveToResultShapingInputsOnly) {
   const std::string hex = to_string(fp0);
   EXPECT_EQ(hex.size(), 32u);
   EXPECT_EQ(hex.find_first_not_of("0123456789abcdef"), std::string::npos);
+}
+
+// The store-level face of the register-table alias: an SEU campaign saved
+// for the original netlist must MISS for a netlist whose register was
+// renamed or narrowed — serving it would hand back another campaign's
+// universe size and unit names.
+TEST(CampaignStore, AlteredRegisterTableMissesTheOriginalEntry) {
+  const SmallDesign d;
+  hls::NetlistCampaignOptions o = small_options();
+  o.seu_faults = true;
+  const std::string dir = fresh_dir("register_alias");
+  store::CampaignStore cache(dir);
+  const hls::NetlistCampaignResult original =
+      hls::run_netlist_campaign(d.graph, d.netlist, o);
+  ASSERT_TRUE(
+      cache.save(store::campaign_fingerprint(d.graph, d.plan, o), original));
+
+  for (const RegisterEdit edit : {RegisterEdit::kRename, RegisterEdit::kNarrow}) {
+    const AlteredNetlist altered(d.netlist, edit);
+    EXPECT_FALSE(hls::run_netlist_campaign(d.graph, altered.netlist, o) ==
+                 original);
+    EXPECT_FALSE(
+        cache.load(store::campaign_fingerprint(d.graph, altered.plan, o))
+            .has_value());
+  }
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().corrupt, 0u);
 }
 
 // ---- entry codec -----------------------------------------------------------
