@@ -123,26 +123,40 @@ void parallel_shard(std::size_t jobs, int threads, MakeState&& make_state,
 
 /// Deterministic early-stopping driver over a job list split into fixed
 /// blocks: `run(base, count)` evaluates jobs [base, base + count) — in
-/// parallel if it likes, typically via parallel_shard — then `stop(end)`
-/// decides, from the `end` jobs evaluated so far, whether to halt.
-/// Returns the number of jobs evaluated.
+/// parallel if it likes, typically via parallel_shard — and `stop(end)` is
+/// then asked at each block boundary `end` of that range, in order,
+/// whether the first `end` jobs suffice. Returns the first boundary at
+/// which `stop` returned true (or `jobs`): the number of jobs that count.
+///
+/// `run` covers `blocks_ahead` whole blocks per call (the final range is
+/// clamped to `jobs`, so the last block may be partial and `run` never
+/// goes past `jobs`). A look-ahead greater than 1 trades a bounded amount
+/// of work past the stopping boundary — evaluated, then discarded — for
+/// fewer, larger `run` calls that keep every thread busy.
 ///
 /// The block boundary IS the determinism contract: the stop predicate only
 /// ever observes complete blocks in a fixed sequence, so the set of jobs
-/// evaluated — and therefore everything reduced from them — is a pure
-/// function of (jobs, block) no matter how many threads `run` fans each
-/// block out over. This is the seed-stable boundary the sampled netlist
-/// campaigns early-stop at (hls/netlist_campaign.h).
+/// that count — and therefore everything reduced from them — is a pure
+/// function of (jobs, block), no matter how many blocks each `run` call
+/// covers or how many threads it fans them out over. This is the
+/// seed-stable boundary the sampled netlist campaigns early-stop at
+/// (hls/netlist_campaign.h).
 template <typename RunBlock, typename Stop>
 std::size_t run_blocks_until(std::size_t jobs, std::size_t block,
-                             const RunBlock& run, const Stop& stop) {
+                             const RunBlock& run, const Stop& stop,
+                             std::size_t blocks_ahead = 1) {
   SCK_EXPECTS(block > 0);
+  SCK_EXPECTS(blocks_ahead > 0);
   std::size_t at = 0;
   while (at < jobs) {
-    const std::size_t count = std::min(block, jobs - at);
-    run(at, count);
-    at += count;
-    if (stop(at)) break;
+    const std::size_t left = jobs - at;
+    const std::size_t end =
+        at + (blocks_ahead > left / block ? left : block * blocks_ahead);
+    run(at, end - at);
+    while (at < end) {
+      at += std::min(block, end - at);
+      if (stop(at)) return at;
+    }
   }
   return at;
 }

@@ -25,6 +25,15 @@ constexpr std::uint64_t kTransientSalt = 0xB5297A4D3C2E9F17ULL;
 constexpr std::uint64_t kIntermittentSalt = 0x2545F4914F6CDD1DULL;
 constexpr std::uint64_t kSeuSalt = 0x9E6C63D0876A9A4FULL;
 
+/// First sample of fault `fault_index`'s kTransient window: one hash,
+/// uniform over the stream.
+[[nodiscard]] int transient_start(const NetlistCampaignOptions& options,
+                                  std::uint64_t fault_index) {
+  return static_cast<int>(
+      fault::duration_hash(options.seed ^ kTransientSalt, fault_index) %
+      static_cast<std::uint64_t>(options.samples_per_fault));
+}
+
 /// Per-fault seed derivation (StreamMode::kPerFault): fault streams must
 /// depend only on (seed, global fault index) so the campaign is invariant
 /// under the thread count, the lane packing, the dynamic schedule AND the
@@ -382,9 +391,7 @@ bool fault_active_at(const NetlistCampaignOptions& options,
     case fault::FaultDuration::kPermanent:
       return true;
     case fault::FaultDuration::kTransient: {
-      const int start = static_cast<int>(
-          fault::duration_hash(options.seed ^ kTransientSalt, fault_index) %
-          static_cast<std::uint64_t>(options.samples_per_fault));
+      const int start = transient_start(options, fault_index);
       return sample >= start && sample < start + options.transient_samples;
     }
     case fault::FaultDuration::kIntermittent:
@@ -407,6 +414,11 @@ int seu_flip_sample(const NetlistCampaignOptions& options,
 int first_active_sample(const NetlistCampaignOptions& options,
                         const FaultJob& job, std::uint64_t fault_index) {
   if (job.kind == FaultKind::kSeu) return seu_flip_sample(options, fault_index);
+  // A transient window is never empty (transient_samples > 0) and starts
+  // inside the stream, so its start is the first active sample.
+  if (options.duration == fault::FaultDuration::kTransient) {
+    return transient_start(options, fault_index);
+  }
   for (int k = 0; k < options.samples_per_fault; ++k) {
     if (fault_active_at(options, fault_index, k)) return k;
   }
@@ -646,6 +658,23 @@ void CampaignSliceRunner::run_jobs(std::span<const std::uint64_t> ids,
   SCK_EXPECTS(out.size() == ids.size());
   for (const std::uint64_t id : ids) SCK_EXPECTS(id < im.jobs.size());
   if (ids.empty()) return;
+  if (!std::is_sorted(ids.begin(), ids.end())) {
+    // Group the ids by global job index before forming W-lane batches:
+    // the job list is unit-major, so neighbouring ids share FUs and each
+    // batch's union cone stays local. Per-job stats depend only on the
+    // global id, so evaluating in this order and scattering the stats
+    // back to their slots changes no result.
+    std::vector<std::size_t> order(ids.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return ids[a] < ids[b]; });
+    std::vector<std::uint64_t> sorted(ids.size());
+    for (std::size_t i = 0; i < order.size(); ++i) sorted[i] = ids[order[i]];
+    std::vector<fault::CampaignStats> stats(ids.size());
+    run_jobs(sorted, stats);
+    for (std::size_t i = 0; i < order.size(); ++i) out[order[i]] = stats[i];
+    return;
+  }
   const std::span<const FaultJob> jobs(im.jobs);
   const NetlistCampaignOptions& options = im.options;
 
@@ -758,45 +787,54 @@ SampledNetlistCampaignResult run_sampled_netlist_campaign(
   SampledNetlistCampaignResult report;
   report.universe_jobs = universe;
 
-  // Blocks run sequentially (each block internally sharded over
-  // options.threads); the stop decision fires ONLY at block boundaries on
-  // the prefix evaluated so far, so every thread/lane/backend
-  // configuration stops after the same number of jobs.
+  // Each run_jobs call evaluates a look-ahead of whole blocks — enough for
+  // every thread to execute several full W-lane batches — and the stop
+  // rule is then applied at each block boundary in order. The stop
+  // decision only ever sees the prefix up to a block boundary, so every
+  // thread/lane/backend configuration stops after the same number of
+  // jobs; the stats of jobs evaluated past the stopping boundary are
+  // discarded. The look-ahead stays bounded, because the work discarded
+  // past the stop and the peak memory of a call both grow with it.
+  const std::size_t ahead_jobs =
+      static_cast<std::size_t>(fault::resolve_threads(options.threads)) *
+      static_cast<std::size_t>(runner.lanes()) * 4;
+  const std::size_t blocks_ahead = (ahead_jobs - 1) / sampling.block + 1;
   std::uint64_t detected_faults = 0;
-  const std::size_t evaluated = fault::run_blocks_until(
+  std::size_t counted = 0;
+  const std::size_t sampled = fault::run_blocks_until(
       cap, sampling.block,
       [&](std::size_t at, std::size_t count) {
         runner.run_jobs(
             std::span<const std::uint64_t>(perm.data() + at, count),
             std::span<fault::CampaignStats>(per_sampled.data() + at, count));
-        for (std::size_t j = at; j < at + count; ++j) {
-          if (per_sampled[j].detections() > 0) ++detected_faults;
-        }
       },
       [&](std::size_t done) {
+        for (; counted < done; ++counted) {
+          if (per_sampled[counted].detections() > 0) ++detected_faults;
+        }
         report.detection_coverage = fault::wilson_interval(
             detected_faults, static_cast<std::uint64_t>(done), sampling.z);
         return report.detection_coverage.half_width() <=
                sampling.target_half_width;
-      });
+      },
+      blocks_ahead);
 
-  report.sampled_jobs = evaluated;
-  report.converged =
-      evaluated > 0 && report.detection_coverage.half_width() <=
-                           sampling.target_half_width;
+  report.sampled_jobs = sampled;
+  report.converged = sampled > 0 && report.detection_coverage.half_width() <=
+                                         sampling.target_half_width;
 
-  // Reduce the evaluated prefix in GLOBAL job-index order, not permutation
+  // Reduce the sampled prefix in GLOBAL job-index order, not permutation
   // order: the report is then byte-identical for any configuration that
-  // evaluated the same prefix — and equals run_netlist_campaign's result
+  // sampled the same prefix — and equals run_netlist_campaign's result
   // exactly when the whole universe was evaluated.
-  std::vector<std::size_t> order(evaluated);
+  std::vector<std::size_t> order(sampled);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return perm[a] < perm[b]; });
   std::vector<FaultJob> sampled_jobs;
-  sampled_jobs.reserve(evaluated);
+  sampled_jobs.reserve(sampled);
   std::vector<fault::CampaignStats> sampled_stats;
-  sampled_stats.reserve(evaluated);
+  sampled_stats.reserve(sampled);
   for (const std::size_t idx : order) {
     sampled_jobs.push_back(runner.jobs()[perm[idx]]);
     sampled_stats.push_back(per_sampled[idx]);

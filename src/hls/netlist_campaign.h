@@ -239,7 +239,10 @@ class CampaignSliceRunner {
 
   /// Evaluate an arbitrary job-index list: out[i] receives the stats of
   /// global job ids[i]. run_slice is the contiguous special case; the
-  /// sampled-campaign engine feeds permuted prefixes through this.
+  /// sampled-campaign engine feeds permuted prefixes through this. Ids
+  /// that are not ascending are evaluated in global job order (so each
+  /// W-lane batch covers neighbouring jobs) and scattered back to their
+  /// slots; ascending ids skip that sort and copy.
   void run_jobs(std::span<const std::uint64_t> ids,
                 std::span<fault::CampaignStats> out) const;
 
@@ -277,13 +280,17 @@ struct SampledCampaignOptions {
   /// drawn from its own Xoshiro stream — independent of the stimulus
   /// seed so the same campaign can be resampled).
   std::uint64_t sample_seed = 0xCED5;
-  /// Jobs evaluated between early-stop checks. The stop decision is taken
-  /// ONLY at block boundaries over the prefix evaluated so far, which is a
-  /// pure function of (options, sample_seed, block) — never of thread
-  /// count, lane width or backend — so every configuration stops after the
-  /// same number of jobs (SampledCampaign.
-  /// EarlyStopIsDeterministicAcrossThreadsAndBackends in
-  /// tests/test_netlist_duration.cpp holds this at threads 1/2/8).
+  /// Jobs between early-stop checks. The stop decision is taken ONLY at
+  /// block boundaries, in order, over the prefix up to that boundary,
+  /// which is a pure function of (options, sample_seed, block) — never of
+  /// thread count, lane width or backend — so every configuration stops
+  /// after the same number of jobs. Execution runs ahead of the stop rule:
+  /// each run_jobs call covers whole blocks worth about
+  /// threads x lanes x 4 jobs, spread over every thread, and the stats of
+  /// jobs past the stopping boundary are discarded (SampledCampaign.
+  /// EarlyStopIsDeterministicAcrossThreadsAndBackends and
+  /// SampledCampaign.LookAheadMatchesBlockwiseDerivation in
+  /// tests/test_netlist_duration.cpp hold this at threads 1/2/8).
   std::size_t block = 256;
   /// Stop once the Wilson half-width on detection coverage is ≤ this.
   double target_half_width = 0.02;
@@ -298,8 +305,9 @@ struct SampledNetlistCampaignResult {
   /// global job-index order (NOT permutation order) — byte-identical at any
   /// thread/lane/backend configuration that evaluates the same prefix.
   NetlistCampaignResult result;
-  /// Jobs actually evaluated (a multiple of block unless the universe ran
-  /// out) and the universe they were drawn from.
+  /// Jobs in the sample (a multiple of block unless the universe or
+  /// max_jobs ran out; jobs evaluated ahead past the stopping boundary do
+  /// not count) and the universe they were drawn from.
   std::uint64_t sampled_jobs = 0;
   std::uint64_t universe_jobs = 0;
   /// Wilson interval on per-fault detection coverage: the fraction of

@@ -16,7 +16,10 @@
 //    NetlistCampaignResults (aggregate + per-unit) at lanes
 //    64/128/256/512 x threads 1/2/8, including the partial final batch
 //    every full universe ends in (the small fuzz universes leave a
-//    partial tail at every width).
+//    partial tail at every width);
+//  * per sampled campaign: a random sampled leg (block, target half-width,
+//    max_jobs, backend, lanes, threads) equals the block-at-a-time
+//    re-derivation, however far ahead of the stop rule the sampler runs.
 //
 // Seeds: a fixed seed always runs (reproducible baseline); CI adds one
 // rotating seed via the SCK_FUZZ_SEED environment variable (derived from
@@ -292,14 +295,10 @@ void expect_campaigns_identical(const Dfg& g, const Netlist& nl, int samples,
   expect_campaigns_identical_for(opt, g, nl);
 }
 
-/// Oracle 2 with a randomly drawn fault-duration model, duty cycle and the
-/// SEU job dimension: the three backends must stay bit-identical at every
-/// lane width x thread count under transient windows, intermittent duty
-/// streams and register-bit upsets, exactly as they do for permanent
-/// stuck-ats.
-void expect_duration_campaigns_identical(Xoshiro256& rng, const Dfg& g,
-                                         const Netlist& nl, int samples,
-                                         std::uint64_t seed) {
+/// Shared-stream campaign options with a randomly drawn fault-duration
+/// model, duty cycle and SEU job dimension.
+NetlistCampaignOptions random_duration_options(Xoshiro256& rng, int samples,
+                                               std::uint64_t seed) {
   NetlistCampaignOptions opt;
   opt.samples_per_fault = samples;
   opt.seed = seed;
@@ -319,12 +318,65 @@ void expect_duration_campaigns_identical(Xoshiro256& rng, const Dfg& g,
       break;
   }
   opt.seu_faults = rng.bounded(2) == 0;
-  SCOPED_TRACE(std::string("duration=") +
-               std::string(to_string(opt.duration)) + " transient_samples=" +
-               std::to_string(opt.transient_samples) + " duty=" +
-               std::to_string(opt.duty_permille) +
-               " seu=" + std::to_string(opt.seu_faults));
+  return opt;
+}
+
+std::string describe_duration(const NetlistCampaignOptions& opt) {
+  return std::string("duration=") + std::string(to_string(opt.duration)) +
+         " transient_samples=" + std::to_string(opt.transient_samples) +
+         " duty=" + std::to_string(opt.duty_permille) +
+         " seu=" + std::to_string(opt.seu_faults);
+}
+
+/// Oracle 2 under a random duration model: the three backends must stay
+/// bit-identical at every lane width x thread count under transient
+/// windows, intermittent duty streams and register-bit upsets, exactly as
+/// they do for permanent stuck-ats.
+void expect_duration_campaigns_identical(const NetlistCampaignOptions& opt,
+                                         const Dfg& g, const Netlist& nl) {
+  SCOPED_TRACE(describe_duration(opt));
   expect_campaigns_identical_for(opt, g, nl);
+}
+
+// ---- oracle 3: sampled campaigns against the block-wise derivation ---------
+
+/// A random sampled leg (block, target half-width, max_jobs, backend, lane
+/// width, threads) must equal the block-at-a-time re-derivation, however
+/// far ahead of the stop rule the sampler evaluates.
+void expect_sampled_matches_blockwise(Xoshiro256& rng,
+                                      NetlistCampaignOptions opt,
+                                      const Dfg& g, const Netlist& nl) {
+  static constexpr NetlistBackend kBackends[] = {NetlistBackend::kScalar,
+                                                 NetlistBackend::kBatched,
+                                                 NetlistBackend::kIncremental};
+  static constexpr int kLanes[] = {64, 128, 256, 512};
+  static constexpr int kThreads[] = {1, 2, 8};
+  const std::size_t universe = enumerate_fault_jobs(nl, opt).size();
+  SampledCampaignOptions sampling;
+  sampling.sample_seed = rng.next();
+  // Skewed toward small blocks: many boundaries per look-ahead.
+  sampling.block = 1 + static_cast<std::size_t>(
+                           rng.bounded(1 + rng.bounded(universe / 4 + 1)));
+  sampling.target_half_width =
+      0.005 * static_cast<double>(1 + rng.bounded(16));
+  sampling.max_jobs = rng.bounded(2) == 0
+                          ? 0
+                          : 1 + static_cast<std::size_t>(rng.bounded(universe));
+  opt.backend = kBackends[rng.bounded(std::size(kBackends))];
+  opt.lanes = kLanes[rng.bounded(std::size(kLanes))];
+  opt.threads = kThreads[rng.bounded(std::size(kThreads))];
+  SCOPED_TRACE(describe_duration(opt) + " block=" +
+               std::to_string(sampling.block) + " target=" +
+               std::to_string(sampling.target_half_width) + " max_jobs=" +
+               std::to_string(sampling.max_jobs) + " backend=" +
+               std::to_string(static_cast<int>(opt.backend)) + " lanes=" +
+               std::to_string(opt.lanes) + " threads=" +
+               std::to_string(opt.threads));
+  const SampledNetlistCampaignResult want =
+      blockwise_sampled_campaign(g, nl, opt, sampling);
+  EXPECT_EQ(run_sampled_netlist_campaign(g, nl, opt, sampling), want)
+      << nl.name << ": sampled campaign diverged from the block-wise "
+      << "derivation";
 }
 
 // ---- the harness -----------------------------------------------------------
@@ -355,8 +407,10 @@ void run_differential_fuzz(std::uint64_t seed) {
                                             seed ^ (0xF00DULL + case_index));
         expect_campaigns_identical(g, nl, /*samples=*/5,
                                    seed ^ (0xBEEFULL + case_index));
-        expect_duration_campaigns_identical(rng, g, nl, /*samples=*/5,
-                                            seed ^ (0xD00DULL + case_index));
+        const NetlistCampaignOptions duration = random_duration_options(
+            rng, /*samples=*/5, seed ^ (0xD00DULL + case_index));
+        expect_duration_campaigns_identical(duration, g, nl);
+        expect_sampled_matches_blockwise(rng, duration, g, nl);
       }
       ++case_index;
     }

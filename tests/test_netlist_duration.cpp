@@ -19,9 +19,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "codesign/flow.h"
+#include "common/rng.h"
 #include "fault/duration.h"
 #include "fault/stats.h"
 #include "hls/builder.h"
@@ -166,6 +169,41 @@ TEST(DurationSemantics, TransientWindowsLieStrictlyInsidePermanentActivity) {
             permanent.aggregate.detections());
 }
 
+TEST(DurationSemantics, TransientFirstActiveSampleIsTheWindowStart) {
+  // first_active_sample returns the transient window start in closed
+  // form; pin it against the definition — the first sample k at which
+  // fault_active_at holds — including windows that run past the last
+  // sample and streams shorter than the window.
+  NetlistCampaignOptions opt;
+  opt.duration = fault::FaultDuration::kTransient;
+  const FaultJob stuck_at;
+  std::size_t past_the_end = 0;
+  for (const std::uint64_t seed : {0x0ULL, 0x2005ULL, 0xD5ULL, ~0ULL}) {
+    opt.seed = seed;
+    for (const int samples : {1, 2, 7, 32}) {
+      opt.samples_per_fault = samples;
+      for (const int window : {1, 3, 8, 40}) {
+        opt.transient_samples = window;
+        for (std::uint64_t f = 0; f < 64; ++f) {
+          int want = samples;
+          for (int k = 0; k < samples; ++k) {
+            if (fault_active_at(opt, f, k)) {
+              want = k;
+              break;
+            }
+          }
+          ASSERT_EQ(first_active_sample(opt, stuck_at, f), want)
+              << "seed " << seed << ", samples " << samples << ", window "
+              << window << ", fault " << f;
+          ASSERT_LT(want, samples);  // a transient always activates
+          if (want + window > samples) ++past_the_end;
+        }
+      }
+    }
+  }
+  EXPECT_GT(past_the_end, 0u);
+}
+
 TEST(DurationSemantics, DeterministicAcrossRunsAndThreads) {
   const SmallDesign d;
   NetlistCampaignOptions opt = incremental_options(/*samples=*/5, 0xD3);
@@ -240,8 +278,10 @@ TEST(SampledCampaign, FullUniverseEqualsExhaustive) {
 TEST(SampledCampaign, EarlyStopIsDeterministicAcrossThreadsAndBackends) {
   // A loose target stops after a prefix of blocks. The evaluated prefix,
   // the Wilson interval and the reduced result must be byte-identical at
-  // every thread count and across backends — threads only parallelize
-  // WITHIN a block, the stop decision is sequential by construction.
+  // every thread count and across backends — threads run ahead of the
+  // stop rule over several blocks at once, but the stop decision walks
+  // the block boundaries in order and ignores everything past the first
+  // that stops.
   const SmallDesign d;
   NetlistCampaignOptions opt = incremental_options(/*samples=*/4, 0xE1);
   SampledCampaignOptions sampling;
@@ -319,6 +359,60 @@ TEST(SampledCampaign, MaxJobsCapsTheSample) {
   EXPECT_EQ(r.result.fault_universe_size, 192u);
 }
 
+TEST(SampledCampaign, LookAheadMatchesBlockwiseDerivation) {
+  // run_sampled_netlist_campaign evaluates whole blocks ahead of the stop
+  // rule; the result must equal the block-at-a-time re-derivation for
+  // every thread count, including a block that is not a multiple of the
+  // lane width, a stop that fires inside the first look-ahead, and a
+  // max_jobs cap that is not a multiple of the block.
+  const SmallDesign d;
+  NetlistCampaignOptions opt = incremental_options(/*samples=*/4, 0xE5);
+  opt.duration = fault::FaultDuration::kTransient;
+  opt.transient_samples = 2;
+  opt.seu_faults = true;
+  struct Case {
+    std::size_t block;
+    double target_half_width;
+    std::size_t max_jobs;
+    std::size_t stops_below;  ///< 0 = unchecked
+  };
+  // The smallest look-ahead is 1 thread x 64 lanes x 4 = 256 jobs, rounded
+  // up to whole blocks. Target 0.08 stops at 192 jobs, inside the first
+  // look-ahead of every configuration; target 0.04 stops at 672, inside a
+  // later one at 64 lanes.
+  for (const Case c : {Case{96, 0.08, 0, 256}, Case{64, 1e-12, 200, 0},
+                       Case{96, 0.04, 0, 0}}) {
+    SampledCampaignOptions sampling;
+    sampling.block = c.block;
+    sampling.target_half_width = c.target_half_width;
+    sampling.max_jobs = c.max_jobs;
+    const SampledNetlistCampaignResult want =
+        blockwise_sampled_campaign(d.graph, d.netlist, opt, sampling);
+    if (c.max_jobs != 0) {
+      EXPECT_EQ(want.sampled_jobs, c.max_jobs);
+      EXPECT_FALSE(want.converged);
+    } else {
+      EXPECT_TRUE(want.converged);
+      EXPECT_LT(want.sampled_jobs, want.universe_jobs);
+    }
+    if (c.stops_below != 0) {
+      EXPECT_LT(want.sampled_jobs, c.stops_below);
+    }
+    for (const int lanes : {64, 512}) {
+      opt.lanes = lanes;
+      for (const int threads : {1, 2, 8}) {
+        opt.threads = threads;
+        const SampledNetlistCampaignResult r =
+            run_sampled_netlist_campaign(d.graph, d.netlist, opt, sampling);
+        EXPECT_EQ(r, want) << "block " << c.block << ", target "
+                           << c.target_half_width << ", max_jobs "
+                           << c.max_jobs << ", " << lanes << " lanes, "
+                           << threads << " threads";
+      }
+    }
+  }
+}
+
 TEST(SampledCampaign, SampleSeedSelectsTheSubset) {
   // Different sample seeds evaluate different prefixes of different
   // permutations; the per-campaign stimuli stay fixed, so the reduced
@@ -339,6 +433,50 @@ TEST(SampledCampaign, SampleSeedSelectsTheSubset) {
       run_sampled_netlist_campaign(d.graph, d.netlist, opt, a);
   EXPECT_TRUE(same_campaign_result(ra.result, ra2.result));
   EXPECT_FALSE(same_campaign_result(ra.result, rb.result));
+}
+
+TEST(CampaignSliceRunner, RunJobsOnShuffledIdsMatchesRunSlice) {
+  // run_jobs evaluates unsorted ids in global job order and scatters the
+  // stats back: every slot must hold exactly what run_slice computes for
+  // that job, on every backend and lane width, for id lists longer and
+  // shorter than one batch.
+  const SmallDesign d;
+  NetlistCampaignOptions opt = incremental_options(/*samples=*/4, 0xE6);
+  opt.duration = fault::FaultDuration::kTransient;
+  opt.transient_samples = 2;
+  opt.seu_faults = true;
+  opt.threads = 2;
+  for (const NetlistBackend backend :
+       {NetlistBackend::kScalar, NetlistBackend::kBatched,
+        NetlistBackend::kIncremental}) {
+    opt.backend = backend;
+    for (const int lanes : {64, 512}) {
+      opt.lanes = lanes;
+      const CampaignSliceRunner runner(d.graph, d.netlist, opt);
+      const std::size_t universe = runner.jobs().size();
+      std::vector<fault::CampaignStats> want(universe);
+      runner.run_slice(0, universe, want);
+
+      std::vector<std::uint64_t> ids(universe);
+      for (std::uint64_t i = 0; i < universe; ++i) ids[i] = i;
+      Xoshiro256 rng(0x5A5A + static_cast<std::uint64_t>(lanes));
+      for (std::size_t i = universe; i > 1; --i) {
+        std::swap(ids[i - 1], ids[static_cast<std::size_t>(rng.bounded(i))]);
+      }
+      for (const std::size_t count :
+           {universe, std::size_t{300}, std::size_t{37}, std::size_t{1}}) {
+        ASSERT_LE(count, universe);
+        const std::span<const std::uint64_t> prefix(ids.data(), count);
+        std::vector<fault::CampaignStats> got(count);
+        runner.run_jobs(prefix, got);
+        for (std::size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(got[i], want[prefix[i]])
+              << "backend " << static_cast<int>(backend) << ", " << lanes
+              << " lanes, " << count << " ids, slot " << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 // every fault's evaluation is a pure function of (fault, inputs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/fir.h"
@@ -228,6 +230,62 @@ TEST(ParallelShardErrors, RemainingShardsAreCancelledAfterAThrow) {
                    }),
                std::runtime_error);
   EXPECT_LT(executed.load(), kJobs / 2);
+}
+
+// run_blocks_until with a look-ahead: `run` covers whole blocks from the
+// start, contiguously, clamped to `jobs`; the stop rule sees every block
+// boundary in order (the last block partial) up to the first that stops,
+// which is the return value — however many blocks each `run` covers.
+TEST(RunBlocksUntil, StopSeesEveryBoundaryInOrderAndRunStaysInBounds) {
+  constexpr std::size_t kJobs = 10;
+  constexpr std::size_t kBlock = 3;
+  const std::vector<std::size_t> boundaries = {3, 6, 9, 10};
+  for (const std::size_t ahead : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{3}, std::size_t{100}}) {
+    for (const std::size_t stop_at : {std::size_t{3}, std::size_t{6},
+                                      std::size_t{10}, std::size_t{0}}) {
+      SCOPED_TRACE("blocks_ahead " + std::to_string(ahead) + ", stop at " +
+                   std::to_string(stop_at));
+      std::vector<std::pair<std::size_t, std::size_t>> runs;
+      std::vector<std::size_t> seen;
+      const std::size_t got = run_blocks_until(
+          kJobs, kBlock,
+          [&](std::size_t at, std::size_t count) {
+            runs.emplace_back(at, count);
+          },
+          [&](std::size_t end) {
+            seen.push_back(end);
+            return end == stop_at;
+          },
+          ahead);
+      const std::size_t want = stop_at == 0 ? kJobs : stop_at;
+      EXPECT_EQ(got, want);
+      const std::vector<std::size_t> want_seen(
+          boundaries.begin(),
+          std::find(boundaries.begin(), boundaries.end(), want) + 1);
+      EXPECT_EQ(seen, want_seen);
+
+      std::size_t next = 0;
+      for (const auto& [at, count] : runs) {
+        EXPECT_EQ(at, next);
+        EXPECT_EQ(count, std::min(kBlock * ahead, kJobs - at));
+        next = at + count;
+      }
+      EXPECT_GE(next, want);
+      EXPECT_LE(next, kJobs);
+      EXPECT_LT(next - want, kBlock * ahead);  // no whole look-ahead wasted
+    }
+  }
+  std::size_t calls = 0;
+  EXPECT_EQ(run_blocks_until(
+                0, kBlock, [&](std::size_t, std::size_t) { ++calls; },
+                [&](std::size_t) {
+                  ++calls;
+                  return false;
+                },
+                4),
+            0u);
+  EXPECT_EQ(calls, 0u);
 }
 
 TEST(ShardQueue, DrainsInIndexOrderAndCompletes) {
