@@ -30,7 +30,7 @@ struct BenchArgs {
                            ///< (the bench-specific workload knob: SW
                            ///< samples, samples per fault, ...)
   std::vector<int> threads;  ///< --threads=a,b,c sweep; empty = bench default
-  int lanes = 0;  ///< --lanes=N plane width; 0 = env/CPU default
+  int lanes = 0;  ///< --lanes=N plane width; 0 = env, then hw::kDefaultLanes
 };
 
 [[nodiscard]] inline BenchArgs parse_args(int argc, char** argv,

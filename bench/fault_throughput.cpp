@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
       argc, argv, "BENCH_fault_throughput.json", /*default_iterations=*/24);
   const int hw_threads = sck::fault::resolve_threads(0);
   // Lane width the batched engines run at: --lanes if given, else the
-  // SCK_LANES env, else the CPU default — recorded per row below.
+  // SCK_LANES env, else hw::kDefaultLanes — recorded per row below.
   const int native_lanes = sck::hw::resolve_lanes(args.lanes);
 
   sck::hw::RippleCarryAdder adder(kWidth);
@@ -394,10 +394,10 @@ int main(int argc, char** argv) {
 
   // ---- lane-width sweep: the plane substrate at W = 64/128/256/512 --------
   // Same shared-stream campaign, threads pinned to 1 so the only variable
-  // is the plane word (Plane64 / PlaneN<K> / the AVX types where the build
-  // enables them): W faults per plane evaluation. Every row is gated on
-  // bit identity with the scalar interpreter under the same stream, and
-  // speedup_wide_vs_64 records the best wide-plane win per core.
+  // is the plane word (Plane64 / PlaneN<K>): W faults per plane
+  // evaluation. Every row is gated on bit identity with the scalar
+  // interpreter under the same stream, and speedup_wide_vs_64 records the
+  // best wide-plane win per core.
   const double shared_total =
       static_cast<double>(shared_anchor_r.aggregate.total());
   shr_opt.threads = 1;

@@ -23,7 +23,7 @@
 //                 the union fan-out cone of its ≤W faulted FUs, splicing
 //                 everything else from the golden trace.
 // The lane width W is resolved once per campaign (options.lanes, the
-// SCK_LANES env var, or the CPU default — see hw::resolve_lanes) and only
+// SCK_LANES env var, or hw::kDefaultLanes — see hw::resolve_lanes) and only
 // changes how faults are grouped into batches: per-fault stats land in
 // job-indexed slots reduced in fault-index order, so the result is
 // bit-identical for ANY backend, lane width and thread count under the
@@ -75,8 +75,9 @@ struct NetlistCampaignResult {
 };
 
 /// Execution backend selection for the sweep (results are identical under
-/// the same StreamMode; the batched engine packs 64 faults per evaluation
-/// and is the default; the incremental engine requires kShared streams).
+/// the same StreamMode; the batched engine packs W faults per evaluation,
+/// W the resolved lane width, and is the default; the incremental engine
+/// requires kShared streams).
 enum class NetlistBackend : unsigned char { kScalar, kBatched, kIncremental };
 
 /// Input-stream semantics of the sweep.
@@ -105,7 +106,7 @@ struct NetlistCampaignOptions {
   int threads = 1;
   /// Bit-plane lane width for the batched/incremental backends: one of
   /// {64, 128, 256, 512}, or 0 to resolve via the SCK_LANES env var and
-  /// then the CPU default (hw::resolve_lanes). Results are bit-identical
+  /// then hw::kDefaultLanes (hw::resolve_lanes). Results are bit-identical
   /// at every width; wider planes only batch more faults per evaluation.
   int lanes = 0;
   NetlistBackend backend = NetlistBackend::kBatched;

@@ -401,19 +401,6 @@ struct CampaignDaemon::Impl {
       pending_dead.insert(conn.fd);
       return;
     }
-    // Capability negotiation. The protocol version is the only hard
-    // requirement; lanes/ISA are recorded for ShardStats telemetry —
-    // results are lane-width-invariant, so any worker may run any shard.
-    if (hello->protocol != kWireProtocolVersion) {
-      enqueue(conn, encode_frame(
-                        MsgType::kError,
-                        encode_error("protocol version mismatch: worker " +
-                                     std::to_string(hello->protocol) +
-                                     ", daemon " +
-                                     std::to_string(kWireProtocolVersion))));
-      pending_dead.insert(conn.fd);
-      return;
-    }
     // Probation: a name that exhausted its strikes has its capability
     // slot retired — the hello is turned away, the shards stay with
     // workers that keep them alive.

@@ -15,15 +15,15 @@
 // boundaries are multiples of 512 (the widest plane), so they are also
 // batch boundaries on every worker regardless of the width IT resolved.
 //
-// Robustness (nix-daemon exemplar): workers negotiate capabilities on
-// connect (protocol version checked, lanes/ISA recorded); a worker that
-// disconnects or goes silent past the heartbeat timeout while holding
-// in-flight shards has them re-queued to survivors (fault::ShardQueue);
-// duplicate results from a presumed-dead worker are dropped idempotently
-// (determinism makes them byte-identical anyway). With a store directory
-// configured the daemon fronts campaigns with the content-addressed
-// CampaignStore: repeat requests are served from cache without running a
-// single shard.
+// Robustness (nix-daemon exemplar): workers announce themselves on
+// connect (a foreign protocol version is dropped at the frame header, the
+// lane width is recorded); a worker that disconnects or goes silent past
+// the heartbeat timeout while holding in-flight shards has them re-queued
+// to survivors (fault::ShardQueue); duplicate results from a presumed-dead
+// worker are dropped idempotently (determinism makes them byte-identical
+// anyway). With a store directory configured the daemon fronts campaigns
+// with the content-addressed CampaignStore: repeat requests are served
+// from cache without running a single shard.
 //
 // Crash durability: with a store configured, every merged shard result is
 // committed to a per-campaign write-ahead journal (store::ShardJournal,

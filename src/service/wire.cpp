@@ -13,8 +13,8 @@ namespace sck::service {
 
 template <class V, codec::Is<HelloPayload> T>
 void visit(V& v, T& p) {
-  auto& [protocol, worker_name, native_lanes, isa, feature_flags] = p;
-  v(protocol, worker_name, native_lanes, isa, feature_flags);
+  auto& [worker_name, native_lanes] = p;
+  v(worker_name, native_lanes);
 }
 
 template <class V, codec::Is<HelloAckPayload> T>

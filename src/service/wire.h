@@ -23,7 +23,7 @@
 // campaign types' visits live in hls/serialize.h, the same field
 // descriptions the store fingerprint hashes). They cover the full
 // campaign-service vocabulary: worker
-// capability negotiation (Hello/HelloAck), campaign setup (the reference
+// announcement (Hello/HelloAck), campaign setup (the reference
 // Dfg + the synthesized Netlist + NetlistCampaignOptions — workers
 // recompile the ExecPlan locally, which is deterministic), fault-universe
 // shard slices, per-job CampaignStats result slices, the final
@@ -47,11 +47,12 @@ namespace sck::service {
 inline constexpr std::uint64_t kWireMagic = 0x0045524957'4B4353ULL;
 
 /// Wire protocol generation. Bump on ANY frame or payload layout change:
-/// peers of another version are rejected at the frame level (and a worker
-/// announcing a different version in its Hello is turned away).
+/// FrameBuffer drops a peer of another version from the frame header,
+/// before any payload is parsed.
 /// v2: ShardStats grew shards_journaled / shards_resumed /
 /// workers_quarantined (crash-durable resume + worker probation).
-inline constexpr std::uint32_t kWireProtocolVersion = 3;
+/// v4: HelloPayload shrank to worker_name / native_lanes.
+inline constexpr std::uint32_t kWireProtocolVersion = 4;
 
 /// Hard ceiling on one frame's payload. A length prefix beyond this is
 /// rejected from the header alone — a corrupted (or hostile) length can
@@ -64,7 +65,7 @@ inline constexpr std::size_t kFrameHeaderBytes = 8 + 4 + 4 + 8;
 inline constexpr std::size_t kFrameChecksumBytes = 8;
 
 enum class MsgType : std::uint32_t {
-  kHello = 1,         ///< worker -> daemon: capabilities
+  kHello = 1,         ///< worker -> daemon: name and lane width
   kHelloAck,          ///< daemon -> worker: accepted, worker id assigned
   kCampaignRequest,   ///< client -> daemon: run this campaign
   kCampaignResponse,  ///< daemon -> client: final result + stats (or error)
@@ -126,16 +127,12 @@ class FrameBuffer {
 // encode_frame); every decode_* is a strict bounds-checked inverse
 // returning std::nullopt on any malformed input.
 
-/// Worker capability announcement. The daemon rejects a protocol mismatch
-/// outright; lanes/ISA are telemetry (results are lane-width-invariant,
-/// so capability negotiation never needs to *restrict* scheduling — any
-/// worker can run any shard).
+/// Worker announcement. The lane width is telemetry (results are
+/// lane-width-invariant, so it never *restricts* scheduling — any worker
+/// can run any shard).
 struct HelloPayload {
-  std::uint32_t protocol = kWireProtocolVersion;
   std::string worker_name;
   std::int32_t native_lanes = 0;  ///< hw::resolve_lanes on the worker
-  std::string isa;                ///< "avx512" / "avx2" / "portable"
-  std::uint64_t feature_flags = 0;  ///< reserved for future negotiation
 
   friend bool operator==(const HelloPayload&, const HelloPayload&) = default;
 };

@@ -1,4 +1,4 @@
-// Campaign worker: connects to a daemon, negotiates capabilities and
+// Campaign worker: connects to a daemon, announces itself and
 // executes fault-universe shards through CampaignSliceRunner (the exact
 // engine run_netlist_campaign uses), streaming per-job stats back. One
 // runner is compiled per campaign and cached by campaign id, so a worker
@@ -21,7 +21,7 @@ struct WorkerOptions {
   /// Name reported in Hello (shows up in ShardStats). "" = auto.
   std::string name;
   /// Local lane-width override (0 = campaign's own setting, then
-  /// SCK_LANES, then CPU default). Results are identical at any width.
+  /// SCK_LANES, then hw::kDefaultLanes). Results are identical at any width.
   int lanes = 0;
   /// Local thread-count override for shard execution (0 = campaign's).
   int threads = 0;

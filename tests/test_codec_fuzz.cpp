@@ -102,8 +102,7 @@ Target wire_target(std::string name, service::MsgType type, const Payload& p,
   std::vector<Target> out;
   out.push_back(wire_target(
       "hello", service::MsgType::kHello,
-      service::HelloPayload{service::kWireProtocolVersion, "w0", 256, "avx2",
-                            5},
+      service::HelloPayload{"w0", 256},
       &service::encode_hello, &service::decode_hello));
   out.push_back(wire_target("hello_ack", service::MsgType::kHelloAck,
                             service::HelloAckPayload{7},

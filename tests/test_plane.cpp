@@ -204,8 +204,11 @@ TEST(PlaneDispatch, SupportedWidthsAndResolution) {
   for (const int lanes : {64, 128, 256, 512}) {
     EXPECT_EQ(resolve_lanes(lanes), lanes);
   }
-  // Default resolution lands on a supported width.
-  EXPECT_TRUE(lanes_supported(resolve_lanes(0)));
+  // Unrequested and without SCK_LANES, every host resolves the one
+  // constant default — no CPU probe.
+  ASSERT_EQ(unsetenv("SCK_LANES"), 0);
+  EXPECT_EQ(resolve_lanes(0), kDefaultLanes);
+  EXPECT_EQ(kDefaultLanes, 256);
 }
 
 TEST(PlaneDispatch, EnvOverrideAppliesWhenUnrequested) {

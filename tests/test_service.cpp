@@ -6,6 +6,8 @@
 // (repeat requests served from cache) and the CampaignSliceRunner
 // slice-composition invariant the whole service rests on.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <filesystem>
@@ -14,11 +16,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/codec.h"
 #include "hls/builder.h"
 #include "hls/netlist_campaign.h"
 #include "netlist_test_util.h"
 #include "service/client.h"
 #include "service/daemon.h"
+#include "service/socket.h"
+#include "service/wire.h"
 #include "service/worker.h"
 
 namespace sck::service {
@@ -343,6 +348,55 @@ TEST(Service, QuarantinedWorkerNameIsRefusedReattachment) {
 
   // A DIFFERENT name is welcome — probation is per-identity, not global.
   harness.add_workers(1);
+}
+
+// A peer of the previous protocol version is dropped from the frame header
+// alone — the daemon never parses its Hello — and the daemon keeps serving:
+// a current worker then completes a campaign byte-identical to local.
+TEST(Service, ForeignProtocolPeerIsDroppedAndCampaignStillCompletes) {
+  const ServiceDesign design;
+  const hls::NetlistCampaignOptions opt = incremental_options();
+  const hls::NetlistCampaignResult want =
+      run_netlist_campaign(design.graph, design.netlist, opt);
+
+  ServiceHarness harness;
+  std::string error;
+  const std::optional<Address> addr =
+      parse_address(harness.daemon().address());
+  ASSERT_TRUE(addr.has_value());
+  const int fd = connect_to(*addr, &error);
+  ASSERT_GE(fd, 0) << error;
+
+  // A well-formed, correctly checksummed Hello whose header names the
+  // previous protocol version.
+  std::vector<unsigned char> frame =
+      encode_frame(MsgType::kHello, encode_hello(HelloPayload{"old", 64}));
+  const std::uint32_t old_version = kWireProtocolVersion - 1;
+  for (int i = 0; i < 4; ++i) {
+    frame[8 + static_cast<std::size_t>(i)] =
+        static_cast<unsigned char>(old_version >> (8 * i));
+  }
+  const std::size_t body = frame.size() - kFrameChecksumBytes;
+  const std::uint64_t sum = codec::fnv1a({frame.data(), body});
+  for (int i = 0; i < 8; ++i) {
+    frame[body + static_cast<std::size_t>(i)] =
+        static_cast<unsigned char>(sum >> (8 * i));
+  }
+  ASSERT_TRUE(send_all(fd, frame));
+
+  // The daemon closes the connection without a reply (EOF, or a reset).
+  pollfd p{fd, POLLIN, 0};
+  ASSERT_EQ(::poll(&p, 1, 10000), 1) << "daemon kept the foreign peer";
+  unsigned char byte = 0;
+  EXPECT_LE(::recv(fd, &byte, 1, 0), 0) << "daemon answered a foreign peer";
+  close_fd(fd);
+  EXPECT_EQ(harness.daemon().counters().workers_joined, 0u);
+
+  harness.add_workers(1);
+  const auto got = harness.submit(design, opt);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(hls::same_campaign_result(got->result, want));
+  EXPECT_EQ(got->stats.shards_executed, got->stats.shards_total);
 }
 
 // Strikes accumulate across connections: at probation_strikes=2 the first

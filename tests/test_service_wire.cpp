@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "hls/builder.h"
 #include "hls/netlist_campaign.h"
 #include "netlist_test_util.h"
@@ -41,8 +42,6 @@ struct WireDesign {
   HelloPayload h;
   h.worker_name = "worker-7";
   h.native_lanes = 256;
-  h.isa = "avx2";
-  h.feature_flags = 0x5;
   return h;
 }
 
@@ -125,6 +124,13 @@ TEST(WireCodec, HelloRoundtrip) {
   const std::optional<HelloPayload> got = decode_hello(encode_hello(h));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, h);
+
+  // The 5-field v3 Hello (protocol, name, lanes, ISA string, flag word) is
+  // not a v4 Hello: decode_hello is strict and whole-buffer.
+  const std::vector<unsigned char> v3_hello =
+      codec::encode(std::uint32_t{3}, h.worker_name, h.native_lanes,
+                    std::string("avx2"), std::uint64_t{5});
+  EXPECT_FALSE(decode_hello(v3_hello).has_value());
 }
 
 TEST(WireCodec, HelloAckRoundtrip) {
