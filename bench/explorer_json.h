@@ -72,11 +72,7 @@ namespace sck::bench {
     software.push(std::move(l));
   }
   JsonValue doc;
-  // report_version 1 = per-fault streams / batched backend (pre-bump,
-  // bit-compatible with every PR 3/4 artifact); 2 = shared-stream
-  // incremental coverage (see codesign/explorer.h).
-  doc.set("report_version", report.report_version)
-      .set("points", std::move(points))
+  doc.set("points", std::move(points))
       .set("pareto_frontier", std::move(frontier))
       .set("software", std::move(software));
   // Cache telemetry, present only when the result store was enabled

@@ -7,12 +7,12 @@
 //
 // System level: the netlist-campaign engines on the complete FU stuck-at
 // sweep of a synthesized self-checking FIR through the compiled execution
-// plan (hls/netlist_exec.h) — scalar interpreter vs the W-lane bit-plane
-// backend (lane = fault, per-fault streams) vs bit-plane + thread pool,
-// then the shared-stream section: bit-plane under one shared stream vs
-// the golden-trace incremental backend (fault-cone replay) plain and with
-// fault dropping, swept over --threads pool sizes, and the lane-width
-// sweep: the same shared campaign at W = 64/128/256/512 plane lanes
+// plan (hls/netlist_exec.h), every row on the campaign's one shared input
+// stream — scalar interpreter vs the W-lane bit-plane backend (lane =
+// fault) vs bit-plane + thread pool, then the incremental section:
+// bit-plane vs the golden-trace incremental backend (fault-cone replay)
+// plain and with fault dropping, swept over --threads pool sizes, and the
+// lane-width sweep: the same campaign at W = 64/128/256/512 plane lanes
 // (hw/plane.h) on one thread, reporting speedup_wide_vs_64.
 //
 // This is the repository's perf trajectory file: it emits
@@ -178,8 +178,8 @@ int main(int argc, char** argv) {
 
   // ---- system level: netlist campaign on the synthesized FIR ------------
   // Class-based CED FIR (the end-to-end Fig. 3 artifact): full FU stuck-at
-  // universe of the min-area netlist, per-fault seeded streams, scalar
-  // interpreter backend vs 64-lane bit-plane backend vs bit-plane + pool.
+  // universe of the min-area netlist, scalar interpreter backend vs W-lane
+  // bit-plane backend vs bit-plane + pool.
   const sck::hls::FirSpec fir_spec{{3, -5, 7, -5, 3}, 8};
   sck::hls::CedOptions ced_opt;
   ced_opt.style = sck::hls::CedStyle::kClassBased;
@@ -251,9 +251,9 @@ int main(int argc, char** argv) {
   sys_table.print(std::cout);
 
   // ---- system level, shared streams: incremental fault-cone replay --------
-  // Same campaign under StreamMode::kShared: every fault sees identical
-  // stimuli, the fault-free work collapses to one golden trace, and the
-  // incremental backend replays only each batch's union fault cone. Swept
+  // Same campaign: every fault sees the same stimuli, so the fault-free
+  // work collapses to one golden trace, and the incremental backend
+  // replays only each batch's union fault cone. Swept
   // over the --threads pool sizes so the JSON records scaling.
   // Thread count 1 must run first (it anchors the identity checks and the
   // speedup baseline); the rest of the requested sweep follows in order,
@@ -284,7 +284,6 @@ int main(int argc, char** argv) {
   sck::hls::NetlistCampaignOptions shr_opt;
   shr_opt.samples_per_fault = static_cast<int>(args.iterations);
   shr_opt.seed = 0x2005;
-  shr_opt.stream = sck::hls::StreamMode::kShared;
   shr_opt.lanes = args.lanes;
 
   sck::hls::NetlistCampaignResult shared_anchor_r;
@@ -507,13 +506,12 @@ int main(int argc, char** argv) {
             << speedup_wide_lanes << " lanes\n";
 
   // ---- new workload shapes: multi-output matvec + state-heavy moving sum --
-  // The explorer's coverage leg defaults to shared-stream incremental
-  // (report_version 2), so the identity of that backend on the new netlist
-  // shapes — per-output check cones (matvec) and deep register timelines
-  // (moving_sum) — is part of the perf trajectory's correctness gate: one
-  // row per kernel, scalar vs batched vs incremental under one shared
-  // stream, recorded as system_<kernel>_results_identical (CI asserts
-  // every *_results_identical field).
+  // The explorer's coverage leg runs the incremental backend, so the
+  // identity of that backend on the new netlist shapes — per-output check
+  // cones (matvec) and deep register timelines (moving_sum) — is part of
+  // the perf trajectory's correctness gate: one row per kernel, scalar vs
+  // batched vs incremental, recorded as system_<kernel>_results_identical
+  // (CI asserts every *_results_identical field).
   const auto kernel_identity = [&](const sck::hls::Dfg& graph,
                                    const sck::hls::Netlist& netlist,
                                    const std::string& label,
@@ -521,7 +519,6 @@ int main(int argc, char** argv) {
     sck::hls::NetlistCampaignOptions opt;
     opt.samples_per_fault = static_cast<int>(args.iterations);
     opt.seed = 0x2005;
-    opt.stream = sck::hls::StreamMode::kShared;
     opt.threads = 1;
     opt.lanes = args.lanes;
 

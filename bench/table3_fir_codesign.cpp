@@ -162,10 +162,6 @@ int main(int argc, char** argv) {
   }
   sck::bench::JsonValue doc;
   doc.set("bench", "table3_fir_codesign")
-      // The FIR flow wrapper is pinned to the pre-bump coverage semantics
-      // (per-fault streams; see codesign/flow.h), so this artifact stays
-      // byte-comparable with every earlier revision.
-      .set("report_version", flow.report_version)
       .set("taps", 5)
       .set("width", spec.width)
       .set("sw_samples", static_cast<std::uint64_t>(args.iterations))

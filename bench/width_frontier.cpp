@@ -72,7 +72,6 @@ std::vector<ModelPoint> model_axis(int samples) {
   NetlistCampaignOptions base;
   base.samples_per_fault = samples;
   base.seed = 0x2005;
-  base.stream = sck::hls::StreamMode::kShared;
   base.backend = NetlistBackend::kIncremental;
   base.threads = 1;
 

@@ -76,7 +76,6 @@ sck::hls::NetlistCampaignOptions demo_options(int samples) {
   opt.samples_per_fault = samples;
   opt.seed = 0x2005;
   opt.backend = sck::hls::NetlistBackend::kIncremental;
-  opt.stream = sck::hls::StreamMode::kShared;
   return opt;
 }
 

@@ -7,10 +7,9 @@
 // matvec, state-heavy moving sum) x protection variants (plain /
 // class-based SCK / embedded checks) x synthesis objectives (min area /
 // min latency), each point synthesized to a netlist, swept through the
-// shared-stream incremental fault campaign (report_version 2; set
-// ExplorerOptions::legacy_streams for the pre-bump per-fault numbers),
-// and the (area, latency, coverage) Pareto frontier extracted — the map a
-// designer would use to pick an implementation.
+// shared-stream incremental fault campaign, and the (area, latency,
+// coverage) Pareto frontier extracted — the map a designer would use to
+// pick an implementation.
 //
 // Build & run:  ./build/codesign_explorer [width] [samples_per_fault] [sw_samples]
 #include <cstdlib>

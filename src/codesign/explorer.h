@@ -6,12 +6,10 @@
 // through the HLS substrate (builder -> schedule -> bind -> netlist ->
 // area/time model), caches the synthesized design keyed by point, measures
 // its realization-level fault coverage through the system-level campaign
-// engine (hls::run_netlist_campaign — by default ONE shared input stream
-// replayed by the golden-trace incremental backend, report_version 2;
-// ExplorerOptions::legacy_streams restores the per-fault bit-plane sweeps
-// of report_version 1 — always sharded across fault/parallel.h and
-// reduced in fault-index order), and extracts the Pareto frontier over
-// (area, latency, coverage).
+// engine (hls::run_netlist_campaign — ONE shared input stream, by default
+// replayed by the golden-trace incremental backend, always sharded across
+// fault/parallel.h and reduced in fault-index order), and extracts the
+// Pareto frontier over (area, latency, coverage).
 //
 // Determinism: every per-point evaluation depends only on the point and
 // the options — synthesis is a pure function of the DFG and the campaign
@@ -62,27 +60,15 @@ struct DesignGrid {
   [[nodiscard]] std::vector<DesignPoint> points() const;
 };
 
-/// Report-format generation of the coverage leg (emitted into the
-/// explorer JSON as "report_version"):
-///   1  the PR 3/4 semantics: per-fault input streams on the 64-lane
-///      bit-plane backend — every pre-bump ExplorationReport is
-///      bit-compatible with this version;
-///   2  the current default: ONE (seed, sample index)-keyed shared stream
-///      replayed by the golden-trace incremental backend — same fault
-///      universe, different (deliberately incompatible) stimuli.
-inline constexpr int kLegacyReportVersion = 1;
-inline constexpr int kSharedStreamReportVersion = 2;
-
 struct ExplorerOptions {
   /// Coverage-leg configuration (samples/fault, stride, seed, threads).
-  /// The stream/backend/fault-dropping fields are MANAGED by the explorer:
-  /// by default the coverage leg forces StreamMode::kShared +
-  /// NetlistBackend::kIncremental (report_version 2); set legacy_streams
-  /// to run this struct verbatim instead (report_version 1, bit-exact
-  /// with every pre-bump report).
+  /// The backend/fault-dropping fields are MANAGED by the explorer: by
+  /// default the coverage leg forces NetlistBackend::kIncremental and
+  /// applies `fault_dropping` below.
   hls::NetlistCampaignOptions campaign;
-  /// Opt-out: reproduce the PR 3/4 coverage leg (per-fault streams,
-  /// batched backend — or whatever `campaign` says) byte-identically.
+  /// Run `campaign` verbatim: the explorer does not force kIncremental or
+  /// apply `fault_dropping`. Every backend gives the same result, so
+  /// without fault dropping the report equals the managed one.
   bool legacy_streams = false;
   /// Coverage-only sweeps (ignored under legacy_streams): retire each
   /// fault lane at its first detection. The detection set is preserved but
@@ -148,9 +134,6 @@ struct ExplorationReport {
   std::vector<PointResult> points;      ///< grid order
   std::vector<std::size_t> frontier;    ///< indices into points, ascending
   std::vector<KernelSwLeg> software;    ///< kernel first-appearance order
-  /// Which coverage-leg semantics produced the numbers (see
-  /// kLegacyReportVersion / kSharedStreamReportVersion above).
-  int report_version = kSharedStreamReportVersion;
   /// Result-store telemetry (ExplorerOptions::store_dir). Deliberately NOT
   /// part of the report's scientific payload: hits are byte-identical to
   /// recomputes, so these counters describe cost, never results — the

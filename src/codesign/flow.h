@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "codesign/explorer.h"
 #include "codesign/kernel.h"
 #include "codesign/variant.h"
 #include "fault/stats.h"
@@ -45,12 +44,6 @@ struct HwDesign {
 struct FlowReport {
   std::vector<HwDesign> hardware;  // 3 variants x {min-area, min-latency}
   std::vector<SwReport> software;  // 3 variants
-  /// The FIR flow wrapper is pinned to the pre-bump (PR 3/4) coverage
-  /// semantics: evaluate_flow_coverage runs the caller's campaign options
-  /// verbatim, so FlowReport/CoverageReport stay byte-identical to every
-  /// legacy report (tests/test_explorer.cpp holds this). Drive the
-  /// Explorer directly for report_version 2 coverage.
-  int report_version = kLegacyReportVersion;
 };
 
 [[nodiscard]] FlowReport run_fir_flow(const hls::FirSpec& spec,
@@ -59,9 +52,10 @@ struct FlowReport {
 /// Reliability leg of the design-space exploration: the realization-level
 /// fault coverage of one synthesized design, measured by sweeping its
 /// complete FU stuck-at universe through the system-level campaign engine
-/// (hls/netlist_campaign.h — by default the 64-lane bit-plane netlist
-/// backend, 64 faults per sweep, multithreaded; bit-identical to the
-/// scalar interpreter at any lane packing and thread count).
+/// (hls/netlist_campaign.h — the caller's campaign options run verbatim,
+/// by default on the W-lane bit-plane netlist backend, W faults per
+/// batch; bit-identical to the scalar interpreter at any lane width and
+/// thread count).
 struct CoverageReport {
   Variant variant = Variant::kPlain;
   bool min_area = true;

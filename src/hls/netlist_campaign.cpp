@@ -20,7 +20,7 @@ namespace {
 // Decoupling salts for the hash-derived duration decisions: each decision
 // family draws from its own (seed ^ salt) stream so transient windows, the
 // intermittent duty and SEU flip samples never correlate with each other
-// or with the operand-stream keying above.
+// or with the operand-stream keying below.
 constexpr std::uint64_t kTransientSalt = 0xB5297A4D3C2E9F17ULL;
 constexpr std::uint64_t kIntermittentSalt = 0x2545F4914F6CDD1DULL;
 constexpr std::uint64_t kSeuSalt = 0x9E6C63D0876A9A4FULL;
@@ -34,20 +34,11 @@ constexpr std::uint64_t kSeuSalt = 0x9E6C63D0876A9A4FULL;
       static_cast<std::uint64_t>(options.samples_per_fault));
 }
 
-/// Per-fault seed derivation (StreamMode::kPerFault): fault streams must
-/// depend only on (seed, global fault index) so the campaign is invariant
-/// under the thread count, the lane packing, the dynamic schedule AND the
-/// slice partition a distributed run chooses (the Xoshiro constructor
+/// Per-sample seed derivation: one stream keyed by (seed, sample index),
+/// identical for every fault, so the campaign is invariant under the
+/// thread count, the lane packing, the dynamic schedule AND the slice
+/// partition a distributed run chooses (the Xoshiro constructor
 /// SplitMix-expands the mixed value).
-[[nodiscard]] std::uint64_t fault_stream_seed(std::uint64_t seed,
-                                              std::uint64_t fault_index) {
-  return seed ^ ((fault_index + 1) * 0x9E3779B97F4A7C15ULL);
-}
-
-/// Per-sample seed derivation (StreamMode::kShared): one stream keyed by
-/// (seed, sample index), identical for every fault. The extra constant
-/// decouples it from the per-fault keying above, so switching modes never
-/// replays the same stimuli under a different meaning.
 [[nodiscard]] std::uint64_t sample_stream_seed(std::uint64_t seed,
                                                std::uint64_t sample_index) {
   return seed ^ 0xD1B54A32D192ED03ULL ^
@@ -55,8 +46,7 @@ constexpr std::uint64_t kSeuSalt = 0x9E6C63D0876A9A4FULL;
 }
 
 /// Materialise the shared input stream (samples x graph inputs,
-/// sample-major), bounded per input width exactly like the per-fault
-/// generation.
+/// sample-major), each value bounded by its input's width.
 [[nodiscard]] std::vector<Word> make_shared_stream(
     const Dfg& graph, const NetlistCampaignOptions& options) {
   const std::size_t num_inputs = graph.inputs().size();
@@ -74,14 +64,12 @@ constexpr std::uint64_t kSeuSalt = 0x9E6C63D0876A9A4FULL;
   return stream;
 }
 
-/// One injected-fault run on the scalar backend: an input stream through
-/// the faulty netlist against the fault-free reference model. The stream
-/// is per-fault (seeded by the GLOBAL `fault_index`) or, when
-/// `shared_stream` is non-empty, the campaign-wide shared one. Handles the
-/// duration model internally — the stuck-at site is armed exactly on the
-/// samples fault_active_at says so, and SEU jobs flip their register bit
-/// once at the hash-derived sample. The sim must arrive fault-free and is
-/// returned fault-free.
+/// One injected-fault run on the scalar backend: the campaign-wide shared
+/// stream through the faulty netlist against the fault-free reference
+/// model. Handles the duration model internally — the stuck-at site is
+/// armed exactly on the samples fault_active_at says so, and SEU jobs flip
+/// their register bit once at the hash-derived sample. The sim must arrive
+/// fault-free and is returned fault-free.
 fault::CampaignStats run_one_fault(const Dfg& graph, NetlistSim& sim,
                                    const NetlistCampaignOptions& options,
                                    const FaultJob& job,
@@ -90,7 +78,6 @@ fault::CampaignStats run_one_fault(const Dfg& graph, NetlistSim& sim,
   const Netlist& netlist = sim.netlist();
   const std::int32_t error_output = sim.plan().error_output;
   const std::size_t num_inputs = graph.inputs().size();
-  Xoshiro256 rng(fault_stream_seed(options.seed, fault_index));
   fault::CampaignStats stats;
   sim.reset();
   const bool seu = job.kind == FaultKind::kSeu;
@@ -118,9 +105,7 @@ fault::CampaignStats run_one_fault(const Dfg& graph, NetlistSim& sim,
     for (std::size_t i = 0; i < num_inputs; ++i) {
       const Node& n = graph.node(graph.inputs()[i]);
       const Word v =
-          shared_stream.empty()
-              ? rng.bounded(Word{1} << n.width)
-              : shared_stream[static_cast<std::size_t>(k) * num_inputs + i];
+          shared_stream[static_cast<std::size_t>(k) * num_inputs + i];
       in[i] = v;
       ref_in[n.name] = v;
     }
@@ -142,15 +127,14 @@ fault::CampaignStats run_one_fault(const Dfg& graph, NetlistSim& sim,
 }
 
 /// One W-fault batch on the bit-plane backend over an arbitrary job-id
-/// list: lane L runs job ids[at + L] with that GLOBAL id's input stream —
-/// or, under shared streams, the one campaign-wide stream broadcast to
-/// every lane — checked against the plane-wise reference model. Stuck-at
-/// lanes are re-armed per sample from the duration model (pure hash of
-/// the global id, so the armed pattern is grouping-invariant) and SEU
-/// lanes flip their register bit at their hash-derived sample. Writes each
-/// lane's stats into out[at + L] — per-lane classification is exactly the
-/// scalar classify(), so the slot contents match run_one_fault bit for bit
-/// at every lane width and every id grouping.
+/// list: lane L runs job ids[at + L] on the campaign-wide shared stream,
+/// broadcast to every lane, checked against the plane-wise reference
+/// model. Stuck-at lanes are re-armed per sample from the duration model
+/// (pure hash of the global id, so the armed pattern is grouping-invariant)
+/// and SEU lanes flip their register bit at their hash-derived sample.
+/// Writes each lane's stats into out[at + L] — per-lane classification is
+/// exactly the scalar classify(), so the slot contents match run_one_fault
+/// bit for bit at every lane width and every id grouping.
 template <typename P>
 void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
                      DfgBatchEvaluatorT<P>& ref,
@@ -166,8 +150,6 @@ void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
       hw::PlaneTraits<P>::kLanes, ids.size() - at));
 
   sim.clear_lane_faults();
-  std::vector<Xoshiro256> rng;
-  if (shared_stream.empty()) rng.reserve(static_cast<std::size_t>(lanes));
   P stuck_lanes{};
   bool any_seu = false;
   for (int lane = 0; lane < lanes; ++lane) {
@@ -180,9 +162,6 @@ void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
                          hw::plane_bit<P>(lane));
       stuck_lanes |= hw::plane_bit<P>(lane);
     }
-    if (shared_stream.empty()) {
-      rng.emplace_back(fault_stream_seed(options.seed, gi));
-    }
   }
   sim.reset();
 
@@ -190,7 +169,6 @@ void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
   std::vector<hw::BatchWordT<P>> batch_out(netlist.outputs.size());
   std::vector<hw::BatchWordT<P>> want(graph.outputs().size());
   std::vector<hw::BatchWordT<P>> ref_state(graph.state_regs().size());
-  std::vector<Word> lane_vals(static_cast<std::size_t>(lanes), 0);
 
   // Output i of the netlist is output i of the graph (the netlist builder
   // preserves the graph's output order); sanity-checked by name below.
@@ -230,17 +208,9 @@ void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
     }
     for (std::size_t i = 0; i < num_inputs; ++i) {
       const Node& n = graph.node(graph.inputs()[i]);
-      if (shared_stream.empty()) {
-        for (int lane = 0; lane < lanes; ++lane) {
-          lane_vals[static_cast<std::size_t>(lane)] =
-              rng[static_cast<std::size_t>(lane)].bounded(Word{1} << n.width);
-        }
-        in[i] = hw::pack<P>(lane_vals, n.width);
-      } else {
-        in[i] = hw::broadcast_word<P>(
-            shared_stream[static_cast<std::size_t>(k) * num_inputs + i],
-            n.width);
-      }
+      in[i] = hw::broadcast_word<P>(
+          shared_stream[static_cast<std::size_t>(k) * num_inputs + i],
+          n.width);
     }
     ref.eval(in, ref_state, want);
     sim.step_sample_batch(in, batch_out);
@@ -512,7 +482,7 @@ struct CampaignSliceRunner::Impl {
   ExecPlan plan;  ///< plan.netlist points at this Impl's own netlist copy
   int lane_width = 0;
   std::vector<FaultJob> jobs;
-  std::vector<Word> shared_stream;  ///< kShared only
+  std::vector<Word> shared_stream;  ///< samples x graph inputs
   // Incremental backend only: cones + golden trace + the scalar reference
   // outputs (broadcast to planes per run_slice call, cheap).
   std::unique_ptr<FaultCones> cones;
@@ -533,9 +503,6 @@ CampaignSliceRunner::CampaignSliceRunner(const Dfg& graph,
         SCK_EXPECTS(options.transient_samples > 0);
         SCK_EXPECTS(options.duty_permille <= 1000);
         SCK_EXPECTS(netlist.input_names.size() == graph.inputs().size());
-        SCK_EXPECTS((options.backend != NetlistBackend::kIncremental ||
-                     options.stream == StreamMode::kShared) &&
-                    "the incremental backend replays one shared golden trace");
         SCK_EXPECTS((!options.fault_dropping ||
                      options.backend == NetlistBackend::kIncremental) &&
                     "fault dropping is an incremental-backend feature");
@@ -554,11 +521,9 @@ CampaignSliceRunner::CampaignSliceRunner(const Dfg& graph,
         impl->lane_width = hw::resolve_lanes(options.lanes);
         impl->jobs = enumerate_fault_jobs(impl->netlist, options);
 
-        // The shared input stream (kShared only): one (seed, sample
-        // index)-keyed stream every fault replays.
-        if (options.stream == StreamMode::kShared) {
-          impl->shared_stream = make_shared_stream(impl->graph, options);
-        }
+        // The shared input stream: one (seed, sample index)-keyed stream
+        // every fault replays.
+        impl->shared_stream = make_shared_stream(impl->graph, options);
 
         if (options.backend == NetlistBackend::kIncremental) {
           // The fault-free work happens ONCE per campaign: the golden

@@ -182,11 +182,13 @@ void visit(V& v, T& o) {
   v.check(fault_stride >= 1 && threads >= 0 && threads <= (1 << 16));
   v.check(lanes == 0 || lanes == 64 || lanes == 128 || lanes == 256 ||
           lanes == 512);
+  // kShared is the only stream model and encodes as 1: a raw 0 (an older
+  // peer's per-fault campaign) must fail here rather than decode into an
+  // enumerator that does not exist.
+  v.check(stream == StreamMode::kShared);
   // Cross-field contracts the campaign engine asserts (SCK_EXPECTS): bytes
   // violating them must be a clean parse failure, not an abort inside
   // CampaignSliceRunner.
-  v.check(backend != NetlistBackend::kIncremental ||
-          stream == StreamMode::kShared);
   v.check(!fault_dropping || backend == NetlistBackend::kIncremental);
   v.check(transient_samples >= 1 && duty_permille <= 1000);
 }

@@ -1,7 +1,6 @@
 // Tests for the additional unit architectures: carry-skip adder, carry-save
 // multiplier, non-restoring divider — fault-free equivalence, cell
-// inventory, and architecture-specific behaviours — plus the two-rail
-// self-checking comparator and its TSC property.
+// inventory, and architecture-specific behaviours.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -13,7 +12,6 @@
 #include "hw/carry_skip_adder.h"
 #include "hw/non_restoring_divider.h"
 #include "hw/restoring_divider.h"
-#include "hw/two_rail_checker.h"
 
 namespace sck::hw {
 namespace {
@@ -203,102 +201,6 @@ TEST(DividerArchitectures, MaskingProfilesDiffer) {
   EXPECT_GT(m1, 0u);
   EXPECT_GT(m2, 0u);
   EXPECT_NE(m1, m2);
-}
-
-// ---- two-rail checker -------------------------------------------------------
-
-TEST(TwoRailChecker, FaultFreeComparesExactly) {
-  for (const int n : {2, 3, 4, 6}) {
-    const TwoRailChecker checker(n);
-    const Word limit = Word{1} << n;
-    for (Word a = 0; a < limit; ++a) {
-      for (Word b = 0; b < limit; ++b) {
-        EXPECT_EQ(checker.compare(a, b).valid(), a == b)
-            << "n=" << n << " a=" << a << " b=" << b;
-      }
-    }
-  }
-}
-
-TEST(TwoRailChecker, CellInventory) {
-  for (const int n : {2, 4, 8, 16}) {
-    const TwoRailChecker checker(n);
-    EXPECT_EQ(checker.cell_count(), n + 6 * (n - 1));
-  }
-}
-
-TEST(TwoRailChecker, TscPropertyOnCodeInputs) {
-  // For every single fault and every *code* input (a == b), the output is
-  // either the correct valid pair or an invalid pair — a checker fault can
-  // never silently produce a wrong "mismatch-free" indication, because the
-  // valid indication IS the correct one for code inputs. Additionally,
-  // every effective fault must be exposed (invalid output) by at least one
-  // code input: the self-testing half of TSC. "Effective" excludes faults
-  // on rows the cell never receives over ALL inputs — e.g. the inverter
-  // cells' constant-1 input line — found via a fault-free sweep.
-  const int n = 4;
-  TwoRailChecker checker(n);
-  const Word limit = Word{1} << n;
-
-  CellUsageRecorder usage(checker.cell_count());
-  checker.set_recorder(&usage);
-  for (Word a = 0; a < limit; ++a) {
-    for (Word b = 0; b < limit; ++b) (void)checker.compare(a, b);
-  }
-  checker.set_recorder(nullptr);
-
-  for (const FaultSite& f : checker.fault_universe()) {
-    const CellKind kind = checker.cell_kind(f.cell);
-    const CellLut faulty = faulty_cell_lut(kind, f.line, f.stuck_value);
-    const CellLut golden = golden_lut(kind);
-    bool effective = false;
-    for (int row = 0; row < cell_rows(kind); ++row) {
-      if (faulty[static_cast<std::size_t>(row)] !=
-              golden[static_cast<std::size_t>(row)] &&
-          usage.seen(f.cell, static_cast<unsigned>(row))) {
-        effective = true;
-      }
-    }
-    if (!effective) continue;
-    checker.set_fault(f);
-    bool exposed = false;
-    for (Word a = 0; a < limit; ++a) {
-      const RailPair out = checker.compare(a, a);
-      if (!out.valid()) exposed = true;
-    }
-    checker.clear_fault();
-    EXPECT_TRUE(exposed) << "fault never self-tested: " << to_string(f);
-  }
-}
-
-TEST(TwoRailChecker, FaultsCanMaskMismatchesOnNonCodeInputs) {
-  // The documented limitation: for non-code inputs (a != b) a single
-  // checker fault may turn the invalid indication into a valid one. TSC
-  // guarantees concern code inputs only; quantify that the leak exists but
-  // is rare.
-  const int n = 4;
-  TwoRailChecker checker(n);
-  const Word limit = Word{1} << n;
-  std::uint64_t mismatches = 0;
-  std::uint64_t leaked = 0;
-  for (const FaultSite& f : checker.fault_universe()) {
-    checker.set_fault(f);
-    for (Word a = 0; a < limit; ++a) {
-      for (Word b = 0; b < limit; ++b) {
-        if (a == b) continue;
-        ++mismatches;
-        leaked += checker.compare(a, b).valid() ? 1 : 0;
-      }
-    }
-    checker.clear_fault();
-  }
-  EXPECT_GT(leaked, 0u);
-  // Measured ~12% of (fault, mismatching-input) situations at 4 bits; the
-  // leak shrinks with width as more pairs stay valid. The point is that it
-  // exists and is bounded — checkers must be exercised with code inputs
-  // (which normal fault-free operation provides continuously).
-  EXPECT_LT(static_cast<double>(leaked) / static_cast<double>(mismatches),
-            0.2);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include "hw/non_restoring_divider.h"
 #include "hw/restoring_divider.h"
 #include "hw/ripple_carry_adder.h"
-#include "hw/two_rail_checker.h"
 
 namespace sck::fault {
 namespace {
@@ -267,36 +266,6 @@ TEST(BatchUnits, RestoringDividerLaneExact) {
 }
 TEST(BatchUnits, NonRestoringDividerLaneExact) {
   divider_lane_exact<hw::NonRestoringDivider>();
-}
-
-// ---- two-rail checker ------------------------------------------------------
-
-TEST(BatchUnits, TwoRailCheckerLaneExact) {
-  for (const int n : kWidths) {
-    hw::TwoRailChecker checker(n);
-    // Half the pairs equal (code inputs), half arbitrary: the TSC property
-    // matters on code inputs, the masking behaviour on non-code inputs.
-    expect_lane_exact(
-        checker, n, false,
-        [](const hw::TwoRailChecker& u, Word a, Word b) {
-          const hw::RailPair p = u.compare(a, b % 2 == 0 ? a : b);
-          return static_cast<Word>(p.f | (p.g << 1));
-        },
-        [](const hw::TwoRailChecker& u, const hw::BatchWord& a,
-           const hw::BatchWord& b) {
-          // Lane-wise "b even -> compare(a, a)" selection, in plane space.
-          hw::BatchWord rhs;
-          const hw::LaneMask even = ~b[0];
-          for (int i = 0; i < kMaxWidth; ++i) {
-            rhs[i] = (even & a[i]) | (~even & b[i]);
-          }
-          const auto p = u.compare_batch(a, rhs);
-          return [p](int lane) {
-            return static_cast<Word>(((p.f >> lane) & 1u) |
-                                     (((p.g >> lane) & 1u) << 1));
-          };
-        });
-  }
 }
 
 // ---- trial functors: lane outcomes == scalar outcomes ----------------------

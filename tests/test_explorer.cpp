@@ -147,44 +147,54 @@ TEST(ExplorerWrappers, CoverageReproducesLegacyCampaignBitForBit) {
   }
 }
 
-TEST(ExplorerWrappers, LegacyStreamsReproducesPreBumpReportsBitForBit) {
-  // The report_version-1 opt-out: with legacy_streams the explorer runs
-  // the campaign options verbatim (per-fault streams, batched backend by
-  // default), reproducing the pre-bump (PR 3/4) reports bit for bit — the
-  // wrappers, whose coverage leg never changed, are that legacy replica.
-  const hls::NetlistCampaignOptions opt = small_campaign();
+TEST(ExplorerWrappers, LegacyStreamsMatchesWrappersAndManagedReport) {
+  // With legacy_streams the explorer runs the campaign options verbatim
+  // (batched backend by default), reproducing the FIR wrappers' coverage
+  // bit for bit. Every backend gives the same result, so that report also
+  // equals the default managed (kIncremental) one point for point — the
+  // property perfbench's explore gate (legacy_streams + kBatched) relies on.
+  hls::NetlistCampaignOptions opt = small_campaign();
+  opt.backend = hls::NetlistBackend::kBatched;
   const FlowReport flow = run_fir_flow(kSpec, /*sw_samples=*/10'000);
-  EXPECT_EQ(flow.report_version, kLegacyReportVersion);
   const std::vector<CoverageReport> cov =
       evaluate_flow_coverage(kSpec, flow, opt);
 
   KernelRegistry reg;
   reg.add(make_fir_kernel(kSpec.coeffs));
+  DesignGrid grid;
+  grid.kernels = {"fir"};
+  grid.widths = {kSpec.width};
   ExplorerOptions eopt;
   eopt.campaign = opt;
   eopt.legacy_streams = true;
   Explorer explorer(reg, eopt);
-  DesignGrid grid;
-  grid.kernels = {"fir"};
-  grid.widths = {kSpec.width};
   const ExplorationReport report = explorer.run(grid.points());
-  EXPECT_EQ(report.report_version, kLegacyReportVersion);
+  eopt.legacy_streams = false;
+  Explorer managed_explorer(reg, eopt);
+  const ExplorationReport managed = managed_explorer.run(grid.points());
 
   ASSERT_EQ(report.points.size(), flow.hardware.size());
+  ASSERT_EQ(managed.points.size(), report.points.size());
   for (std::size_t i = 0; i < report.points.size(); ++i) {
     EXPECT_EQ(report.points[i].point.variant, flow.hardware[i].variant);
     EXPECT_EQ(report.points[i].point.min_area, flow.hardware[i].min_area);
     expect_report_identical(report.points[i].hw, flow.hardware[i].report);
     EXPECT_EQ(report.points[i].faults, cov[i].faults);
     expect_stats_identical(report.points[i].stats, cov[i].stats);
+
+    EXPECT_EQ(managed.points[i].point, report.points[i].point);
+    expect_report_identical(managed.points[i].hw, report.points[i].hw);
+    EXPECT_EQ(managed.points[i].faults, report.points[i].faults);
+    expect_stats_identical(managed.points[i].stats, report.points[i].stats);
+    EXPECT_EQ(managed.points[i].on_frontier, report.points[i].on_frontier);
   }
+  EXPECT_EQ(managed.frontier, report.frontier);
 }
 
 TEST(ExplorerWrappers, DefaultCoverageLegIsSharedStreamIncremental) {
-  // The report_version-2 default: the explorer forces StreamMode::kShared
-  // + NetlistBackend::kIncremental regardless of what the campaign struct
-  // says, and the per-point stats match a manual shared-stream incremental
-  // campaign bit for bit.
+  // The default: the explorer forces NetlistBackend::kIncremental
+  // regardless of what the campaign struct says, and the per-point stats
+  // match a manual incremental campaign bit for bit.
   hls::NetlistCampaignOptions opt = small_campaign();
   opt.backend = hls::NetlistBackend::kScalar;  // deliberately overridden
 
@@ -197,10 +207,8 @@ TEST(ExplorerWrappers, DefaultCoverageLegIsSharedStreamIncremental) {
   grid.kernels = {"fir"};
   grid.widths = {kSpec.width};
   const ExplorationReport report = explorer.run(grid.points());
-  EXPECT_EQ(report.report_version, kSharedStreamReportVersion);
 
   hls::NetlistCampaignOptions manual = opt;
-  manual.stream = hls::StreamMode::kShared;
   manual.backend = hls::NetlistBackend::kIncremental;
   ASSERT_EQ(report.points.size(), 6u);
   for (const PointResult& r : report.points) {
@@ -339,7 +347,6 @@ TEST(Explorer, CrossKernelGridEvaluatesEveryPoint) {
 
   const ExplorationReport report = explorer.run(points);
   ASSERT_EQ(report.points.size(), 24u);
-  EXPECT_EQ(report.report_version, kSharedStreamReportVersion);
   for (const PointResult& r : report.points) {
     EXPECT_GT(r.hw.slices, 0.0) << to_string(r.point);
     EXPECT_GT(r.hw.steps, 0) << to_string(r.point);
@@ -391,7 +398,6 @@ TEST(Explorer, NewKernelsReachTheParetoFrontier) {
   grid.widths = {5};
   const ExplorationReport report = explorer.run(grid.points());
   ASSERT_EQ(report.points.size(), 12u);
-  EXPECT_EQ(report.report_version, kSharedStreamReportVersion);
   for (const PointResult& r : report.points) {
     EXPECT_GT(r.hw.slices, 0.0) << to_string(r.point);
     EXPECT_GT(r.faults, 0u) << to_string(r.point);
@@ -441,7 +447,6 @@ TEST(Explorer, FaultDroppingCoverageOnlySweep) {
   const ExplorationReport drop_r = drop.run(grid.points());
 
   ASSERT_EQ(drop_r.points.size(), full_r.points.size());
-  EXPECT_EQ(drop_r.report_version, kSharedStreamReportVersion);
   for (std::size_t i = 0; i < full_r.points.size(); ++i) {
     EXPECT_EQ(drop_r.points[i].faults, full_r.points[i].faults);
     EXPECT_LT(drop_r.points[i].stats.total(), full_r.points[i].stats.total())

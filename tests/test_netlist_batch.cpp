@@ -25,14 +25,15 @@
 namespace sck::hls {
 namespace {
 
-/// Mirrors the campaign's per-fault stream seeding (fault/netlist drivers).
+/// Per-lane stream seeding: every lane gets its own stimuli, which drives
+/// the batched simulator harder than the campaigns' broadcast stream.
 std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t fault_index) {
   return seed ^ ((fault_index + 1) * 0x9E3779B97F4A7C15ULL);
 }
 
 /// Prove lane exactness: for every fault of every FU of `nl`, the batched
 /// backend's lane must reproduce the scalar interpreter's outputs on an
-/// identical per-fault input stream, sample by sample. Faults are packed
+/// identical per-lane input stream, sample by sample. Faults are packed
 /// 64 per batch exactly like the campaign driver.
 void expect_lane_exact(const Dfg& g, const Netlist& nl, int samples,
                        std::uint64_t seed) {

@@ -93,23 +93,6 @@ TEST(DurationRegression, PermanentSharedIncrementalPinsPreDurationEngine) {
   EXPECT_EQ(r.aggregate.masked, 0u);
 }
 
-TEST(DurationRegression, PermanentPerFaultBatchedPinsPreDurationEngine) {
-  // Same design, per-fault streams on the batched backend, 6 samples,
-  // seed 0x1234 — the second leg of the pre-duration capture.
-  const FlagshipDesign d;
-  NetlistCampaignOptions opt;
-  opt.samples_per_fault = 6;
-  opt.seed = 0x1234;
-  opt.stream = StreamMode::kPerFault;
-  opt.backend = NetlistBackend::kBatched;
-  const NetlistCampaignResult r = run_netlist_campaign(d.graph, d.netlist, opt);
-  EXPECT_EQ(r.fault_universe_size, 9232u);
-  EXPECT_EQ(r.aggregate.silent_correct, 31829u);
-  EXPECT_EQ(r.aggregate.detected_correct, 19077u);
-  EXPECT_EQ(r.aggregate.detected_erroneous, 4486u);
-  EXPECT_EQ(r.aggregate.masked, 0u);
-}
-
 // ---- 2. duration-model semantics -------------------------------------------
 
 TEST(DurationSemantics, FullDutyIntermittentEqualsPermanent) {

@@ -183,28 +183,6 @@ TEST(NetlistIncremental, SharedStreamIdenticalAcrossAllBackends) {
   EXPECT_TRUE(same_campaign_result(scalar_r, inc_r));
 }
 
-TEST(NetlistIncremental, SharedStreamDiffersFromPerFaultStream) {
-  // The two stream modes must not silently alias: same seed, different
-  // keying, different stimuli — so the aggregates (here the per-unit
-  // silent/erroneous split over a full universe) almost surely differ.
-  const Dfg g =
-      ced(build_fir(FirSpec{{2, 3, -5, 7}, 8}), CedStyle::kClassBased);
-  const Netlist nl = synthesize(g, ResourceConstraints::min_area(), "mode");
-
-  NetlistCampaignOptions opt;
-  opt.samples_per_fault = 8;
-  opt.fault_stride = 7;
-  opt.seed = 0xC0DE;
-  opt.backend = NetlistBackend::kBatched;
-
-  opt.stream = StreamMode::kPerFault;
-  const auto per_fault_r = run_netlist_campaign(g, nl, opt);
-  opt.stream = StreamMode::kShared;
-  const auto shared_r = run_netlist_campaign(g, nl, opt);
-  EXPECT_EQ(per_fault_r.fault_universe_size, shared_r.fault_universe_size);
-  EXPECT_FALSE(same_campaign_result(per_fault_r, shared_r));
-}
-
 // ---- fault dropping -------------------------------------------------------
 
 /// The drop-mode contract on one design: dropping retires a lane after

@@ -220,8 +220,8 @@ TEST(PlaneDispatch, EnvOverrideAppliesWhenUnrequested) {
 
 TEST(PlaneDispatch, MalformedEnvOverrideAborts) {
   // A typo'd SCK_LANES must abort with the offending text, never parse to
-  // 0 (the old std::atoi behaviour) and silently fall back to the CPU
-  // default, and never snap to a nearby width.
+  // 0 (the old std::atoi behaviour) and silently fall back to
+  // hw::kDefaultLanes, and never snap to a nearby width.
   for (const char* bad : {"garbage", "128x", " 128", "100", "-64", "1e2"}) {
     ASSERT_EQ(setenv("SCK_LANES", bad, /*overwrite=*/1), 0);
     EXPECT_DEATH((void)resolve_lanes(0), "SCK_LANES")

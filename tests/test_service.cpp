@@ -63,7 +63,6 @@ struct ServiceDesign {
 [[nodiscard]] hls::NetlistCampaignOptions batched_options() {
   hls::NetlistCampaignOptions opt;
   opt.samples_per_fault = 6;
-  opt.stream = hls::StreamMode::kPerFault;
   opt.backend = hls::NetlistBackend::kBatched;
   opt.threads = 1;
   return opt;
@@ -189,7 +188,7 @@ TEST(Service, TransientSeuCampaignByteIdenticalDaemonVsLocal) {
   EXPECT_TRUE(hls::same_campaign_result(got->result, want_duty));
 }
 
-TEST(Service, ByteIdenticalAtWorkerCounts124BatchedPerFault) {
+TEST(Service, ByteIdenticalAtWorkerCounts124Batched) {
   const ServiceDesign design;
   const hls::NetlistCampaignOptions opt = batched_options();
   const hls::NetlistCampaignResult want =

@@ -7,6 +7,7 @@
 // buffering a payload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -15,6 +16,7 @@
 #include "common/codec.h"
 #include "hls/builder.h"
 #include "hls/netlist_campaign.h"
+#include "hls/serialize.h"
 #include "netlist_test_util.h"
 #include "service/wire.h"
 
@@ -230,6 +232,42 @@ TEST(WireCodec, DurationAndSeuOptionsRoundtrip) {
   EXPECT_EQ(got->campaign.options.duty_permille, 700u);
   EXPECT_TRUE(got->campaign.options.seu_faults);
   EXPECT_EQ(encode_campaign_setup(*got), bytes);
+}
+
+// StreamMode keeps one value, kShared, encoded as 1: a campaign whose
+// stream field reads 0 (an older peer's per-fault model) or anything else
+// must be a clean parse failure even inside a correctly checksummed frame.
+TEST(WireCodec, ResealedUnknownStreamModeRejected) {
+  const WireDesign design;
+  CampaignSetupPayload setup;
+  setup.campaign_id = 19;
+  setup.campaign.graph = design.graph;
+  setup.campaign.netlist = design.netlist;
+  setup.campaign.options.samples_per_fault = 5;
+  setup.campaign.options.stream = hls::StreamMode::kShared;
+  const std::vector<unsigned char> payload = encode_campaign_setup(setup);
+  const std::vector<unsigned char> frame =
+      encode_frame(MsgType::kCampaignSetup, payload);
+
+  // The options close the payload; `stream` follows samples_per_fault
+  // (i32), seed (u64), fault_stride, threads, lanes (i32) and backend (u32).
+  const std::vector<unsigned char> options =
+      codec::encode(setup.campaign.options);
+  ASSERT_TRUE(std::equal(options.rbegin(), options.rend(), payload.rbegin()));
+  const std::size_t stream_at =
+      kFrameHeaderBytes + payload.size() - options.size() + 4 + 8 + 4 + 4 + 4 +
+      4;
+  ASSERT_EQ(frame[stream_at], 1u);
+
+  for (const std::uint32_t raw : {0u, 1u, 2u}) {
+    std::vector<unsigned char> tampered = frame;
+    put_u32_at(tampered, stream_at, raw);
+    reseal(tampered);
+    const std::optional<Frame> got = decode_frame(tampered);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(decode_campaign_setup(got->payload).has_value(), raw == 1)
+        << "stream field " << raw;
+  }
 }
 
 TEST(WireCodec, ShardRequestRoundtrip) {
