@@ -206,146 +206,4 @@ Dfg::EvalResult Dfg::eval(
   return result;
 }
 
-template <typename P>
-DfgBatchEvaluatorT<P>::DfgBatchEvaluatorT(const Dfg& graph,
-                                          std::string_view skip_output)
-    : graph_(graph), value_(graph.size()) {
-  // Needed set: backward closure from the kept outputs, following
-  // combinational inputs AND register next-value edges (a kReg's ins is
-  // its next value, so the closure crosses sample boundaries correctly).
-  std::vector<char> needed(graph.size(), 0);
-  std::vector<NodeId> stack;
-  for (const NodeId out : graph.outputs()) {
-    if (!skip_output.empty() && graph.node(out).name == skip_output) continue;
-    needed[static_cast<std::size_t>(out)] = 1;
-    stack.push_back(out);
-  }
-  while (!stack.empty()) {
-    const NodeId id = stack.back();
-    stack.pop_back();
-    for (const NodeId in : graph.node(id).ins) {
-      if (!needed[static_cast<std::size_t>(in)]) {
-        needed[static_cast<std::size_t>(in)] = 1;
-        stack.push_back(in);
-      }
-    }
-  }
-
-  // Compile: constants pre-broadcast once; ports/registers are seeded per
-  // sample; everything else enters the hoisted compute order if needed.
-  for (const NodeId id : graph.topo_order()) {
-    const Node& n = graph.node(id);
-    if (!needed[static_cast<std::size_t>(id)]) continue;
-    switch (n.op) {
-      case Op::kInput:
-      case Op::kReg:
-        break;  // seeded per sample
-      case Op::kConst:
-        value_[static_cast<std::size_t>(id)] =
-            hw::broadcast_word<P>(from_signed(n.value, n.width), n.width);
-        break;
-      default:
-        order_.push_back(id);
-        break;
-    }
-  }
-  live_reg_.reserve(graph.state_regs().size());
-  for (const NodeId reg : graph.state_regs()) {
-    live_reg_.push_back(needed[static_cast<std::size_t>(reg)]);
-  }
-}
-
-template <typename P>
-void DfgBatchEvaluatorT<P>::eval(std::span<const hw::BatchWordT<P>> inputs,
-                                 std::vector<hw::BatchWordT<P>>& reg_state,
-                                 std::span<hw::BatchWordT<P>> outputs) {
-  SCK_EXPECTS(inputs.size() == graph_.inputs().size());
-  SCK_EXPECTS(reg_state.size() == graph_.state_regs().size());
-  SCK_EXPECTS(outputs.size() == graph_.outputs().size());
-
-  // Seed primary inputs and register outputs with the lane-packed state.
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    value_[static_cast<std::size_t>(graph_.inputs()[i])] = inputs[i];
-  }
-  for (std::size_t i = 0; i < reg_state.size(); ++i) {
-    value_[static_cast<std::size_t>(graph_.state_regs()[i])] = reg_state[i];
-  }
-
-  // Invariant note: every case writes only planes below its node width
-  // (1-bit glue writes plane 0), and value_ starts all-zero, so planes at
-  // or above a node's width stay zero across samples without re-clearing.
-  for (const NodeId id : order_) {
-    const Node& n = graph_.node(id);
-    const auto in = [&](int k) -> const hw::BatchWordT<P>& {
-      return value_[static_cast<std::size_t>(
-          n.ins[static_cast<std::size_t>(k)])];
-    };
-    const int w = n.width;
-    hw::BatchWordT<P>& out = value_[static_cast<std::size_t>(id)];
-    switch (n.op) {
-      case Op::kInput:
-      case Op::kReg:
-      case Op::kConst:
-        break;  // seeded / precompiled, not in order_
-      case Op::kOutput:
-        out = in(0);
-        break;
-      case Op::kAdd:
-        hw::golden_add(in(0), in(1), P{}, w, out);
-        break;
-      case Op::kSub:
-        out = hw::golden_sub(in(0), in(1), w);
-        break;
-      case Op::kMul:
-        out = hw::golden_mul(in(0), in(1), w);
-        break;
-      case Op::kDiv:
-      case Op::kRem: {
-        // Lanes with a zero divisor produce 0, like eval()'s short-circuit.
-        const P b_nonzero = hw::nonzero_lanes(in(1));
-        hw::BatchWordT<P> q;
-        hw::BatchWordT<P> r;
-        hw::golden_divmod(in(0), in(1), w, q, r);
-        const hw::BatchWordT<P>& source = n.op == Op::kDiv ? q : r;
-        for (int i = 0; i < w; ++i) out[i] = source[i] & b_nonzero;
-        break;
-      }
-      case Op::kNeg:
-        out = hw::golden_neg(in(0), w);
-        break;
-      case Op::kEq:
-        out[0] = ~hw::differing_lanes(in(0), in(1));
-        break;
-      case Op::kIsZero:
-      case Op::kNot:  // eval() computes kNot as a full-word zero test too
-        out[0] = ~hw::nonzero_lanes(in(0));
-        break;
-      case Op::kAnd:
-        out[0] = in(0)[0] & in(1)[0];
-        break;
-      case Op::kOr:
-        out[0] = in(0)[0] | in(1)[0];
-        break;
-    }
-  }
-
-  for (std::size_t i = 0; i < outputs.size(); ++i) {
-    outputs[i] = value_[static_cast<std::size_t>(graph_.outputs()[i])];
-  }
-
-  // Advance the sequential state (skipped registers feed only skipped
-  // outputs and stay zero).
-  for (std::size_t i = 0; i < reg_state.size(); ++i) {
-    if (!live_reg_[i]) continue;
-    const Node& r = graph_.node(graph_.state_regs()[i]);
-    reg_state[i] = value_[static_cast<std::size_t>(r.ins[0])];
-  }
-}
-
-// One instantiation per supported plane width (hw/plane.h).
-template class DfgBatchEvaluatorT<hw::Plane64>;
-template class DfgBatchEvaluatorT<hw::Plane128>;
-template class DfgBatchEvaluatorT<hw::Plane256>;
-template class DfgBatchEvaluatorT<hw::Plane512>;
-
 }  // namespace sck::hls

@@ -64,29 +64,72 @@ constexpr std::uint64_t kSeuSalt = 0x9E6C63D0876A9A4FULL;
   return stream;
 }
 
+/// The fault-free reference table: Dfg::eval once per sample of the shared
+/// stream from the all-zero register state (samples x graph outputs,
+/// sample-major, each value truncated to its output's width). Output i of
+/// the netlist is output i of the graph — the netlist builder preserves
+/// the graph's output order — so every backend compares by position.
+[[nodiscard]] std::vector<Word> make_reference_table(
+    const Dfg& graph, const Netlist& netlist,
+    std::span<const Word> shared_stream, int samples) {
+  const std::size_t num_inputs = graph.inputs().size();
+  const std::size_t num_outputs = graph.outputs().size();
+  SCK_EXPECTS(netlist.outputs.size() == num_outputs);
+  for (std::size_t i = 0; i < num_outputs; ++i) {
+    SCK_EXPECTS(graph.node(graph.outputs()[i]).name ==
+                netlist.outputs[i].name);
+  }
+  std::vector<Word> table(static_cast<std::size_t>(samples) * num_outputs);
+  std::vector<std::uint64_t> state(graph.state_regs().size(), 0);
+  std::unordered_map<std::string, std::uint64_t> in;
+  for (std::size_t k = 0; k < static_cast<std::size_t>(samples); ++k) {
+    for (std::size_t i = 0; i < num_inputs; ++i) {
+      in[graph.node(graph.inputs()[i]).name] =
+          shared_stream[k * num_inputs + i];
+    }
+    const auto want = graph.eval(in, state);
+    for (std::size_t i = 0; i < num_outputs; ++i) {
+      const Node& n = graph.node(graph.outputs()[i]);
+      table[k * num_outputs + i] = trunc(want.outputs.at(n.name), n.width);
+    }
+  }
+  return table;
+}
+
+/// Broadcast rows of the reference table (one value per graph output,
+/// sample-major) to every lane of `planes`, element for element.
+template <typename P>
+void broadcast_reference(const Dfg& graph, std::span<const Word> values,
+                         std::span<hw::BatchWordT<P>> planes) {
+  const std::size_t num_outputs = graph.outputs().size();
+  for (std::size_t v = 0; v < values.size(); ++v) {
+    const Node& n = graph.node(graph.outputs()[v % num_outputs]);
+    planes[v] = hw::broadcast_word<P>(values[v], n.width);
+  }
+}
+
 /// One injected-fault run on the scalar backend: the campaign-wide shared
-/// stream through the faulty netlist against the fault-free reference
-/// model. Handles the duration model internally — the stuck-at site is
-/// armed exactly on the samples fault_active_at says so, and SEU jobs flip
-/// their register bit once at the hash-derived sample. The sim must arrive
-/// fault-free and is returned fault-free.
-fault::CampaignStats run_one_fault(const Dfg& graph, NetlistSim& sim,
+/// stream through the faulty netlist, each sample's outputs checked by
+/// position against the campaign's reference table. Handles the duration
+/// model internally — the stuck-at site is armed exactly on the samples
+/// fault_active_at says so, and SEU jobs flip their register bit once at
+/// the hash-derived sample. The sim must arrive fault-free and is returned
+/// fault-free.
+fault::CampaignStats run_one_fault(NetlistSim& sim,
                                    const NetlistCampaignOptions& options,
                                    const FaultJob& job,
                                    std::uint64_t fault_index,
-                                   std::span<const Word> shared_stream) {
-  const Netlist& netlist = sim.netlist();
+                                   std::span<const Word> shared_stream,
+                                   std::span<const Word> want_values) {
   const std::int32_t error_output = sim.plan().error_output;
-  const std::size_t num_inputs = graph.inputs().size();
+  const std::size_t num_inputs = sim.netlist().input_names.size();
+  const std::size_t num_outputs = sim.netlist().outputs.size();
   fault::CampaignStats stats;
   sim.reset();
   const bool seu = job.kind == FaultKind::kSeu;
   const int flip_at = seu ? seu_flip_sample(options, fault_index) : -1;
   bool armed = false;
-  std::vector<std::uint64_t> ref_state(graph.state_regs().size(), 0);
-  std::vector<Word> in(netlist.input_names.size(), 0);
-  std::vector<Word> out(netlist.outputs.size(), 0);
-  std::unordered_map<std::string, std::uint64_t> ref_in;
+  std::vector<Word> out(num_outputs, 0);
   for (int k = 0; k < options.samples_per_fault; ++k) {
     if (seu) {
       if (k == flip_at) {
@@ -100,23 +143,16 @@ fault::CampaignStats run_one_fault(const Dfg& graph, NetlistSim& sim,
         armed = want_armed;
       }
     }
-    // Input i of the netlist is input i of the graph (the netlist builder
-    // preserves the graph's input order).
-    for (std::size_t i = 0; i < num_inputs; ++i) {
-      const Node& n = graph.node(graph.inputs()[i]);
-      const Word v =
-          shared_stream[static_cast<std::size_t>(k) * num_inputs + i];
-      in[i] = v;
-      ref_in[n.name] = v;
-    }
-    const auto want = graph.eval(ref_in, ref_state);
-    sim.step_sample_indexed(in, out);
+    const auto sample = static_cast<std::size_t>(k);
+    sim.step_sample_indexed(
+        shared_stream.subspan(sample * num_inputs, num_inputs), out);
+    const std::span<const Word> want =
+        want_values.subspan(sample * num_outputs, num_outputs);
 
     bool erroneous = false;
-    for (std::size_t i = 0; i < netlist.outputs.size(); ++i) {
-      const std::string& name = netlist.outputs[i].name;
-      if (name == "error") continue;  // reference error flag is always 0
-      if (out[i] != want.outputs.at(name)) erroneous = true;
+    for (std::size_t i = 0; i < num_outputs; ++i) {
+      if (static_cast<std::int32_t>(i) == error_output) continue;
+      if (out[i] != want[i]) erroneous = true;
     }
     const bool detected =
         error_output >= 0 && out[static_cast<std::size_t>(error_output)] != 0;
@@ -126,116 +162,125 @@ fault::CampaignStats run_one_fault(const Dfg& graph, NetlistSim& sim,
   return stats;
 }
 
-/// One W-fault batch on the bit-plane backend over an arbitrary job-id
-/// list: lane L runs job ids[at + L] on the campaign-wide shared stream,
-/// broadcast to every lane, checked against the plane-wise reference
-/// model. Stuck-at lanes are re-armed per sample from the duration model
-/// (pure hash of the global id, so the armed pattern is grouping-invariant)
-/// and SEU lanes flip their register bit at their hash-derived sample.
-/// Writes each lane's stats into out[at + L] — per-lane classification is
-/// exactly the scalar classify(), so the slot contents match run_one_fault
-/// bit for bit at every lane width and every id grouping.
+/// Sample k's fault activity on a W-fault batch whose lane L runs job
+/// lane_ids[L]: re-arms the stuck-at lanes when the duration model's
+/// active set changes (never under kPermanent, where add_lane_fault armed
+/// every stuck lane for the whole stream), and flips the register bit of
+/// every SEU lane whose upset falls on k. `armed` carries the armed-lane
+/// mask from one sample to the next.
+template <typename P, typename Sim>
+void apply_sample_faults(Sim& sim, std::span<const FaultJob> jobs,
+                         std::span<const std::uint64_t> lane_ids,
+                         const NetlistCampaignOptions& options, int k,
+                         bool any_seu, P& armed) {
+  const int lanes = static_cast<int>(lane_ids.size());
+  if (options.duration != fault::FaultDuration::kPermanent) {
+    P now{};
+    for (int lane = 0; lane < lanes; ++lane) {
+      const std::uint64_t gi = lane_ids[static_cast<std::size_t>(lane)];
+      if (jobs[gi].kind != FaultKind::kSeu &&
+          fault_active_at(options, gi, k)) {
+        now |= hw::plane_bit<P>(lane);
+      }
+    }
+    if (!(now == armed)) {
+      sim.arm_lane_faults(now);
+      armed = now;
+    }
+  }
+  if (any_seu) {
+    for (int lane = 0; lane < lanes; ++lane) {
+      const std::uint64_t gi = lane_ids[static_cast<std::size_t>(lane)];
+      const FaultJob& job = jobs[gi];
+      if (job.kind == FaultKind::kSeu && seu_flip_sample(options, gi) == k) {
+        sim.flip_register_bit(static_cast<int>(job.fu), job.seu_bit,
+                              hw::plane_bit<P>(lane));
+      }
+    }
+  }
+}
+
+/// One sample's verdict on every lane: erroneous where a data output
+/// differs from its reference plane (`want`, by output position; the
+/// error output is the check, not data), detected where the error output
+/// is raised.
+template <typename P>
+[[nodiscard]] fault::LaneVerdictT<P> sample_verdict(
+    std::span<const hw::BatchWordT<P>> outputs,
+    std::span<const hw::BatchWordT<P>> want, std::int32_t error_output) {
+  P erroneous{};
+  for (std::size_t i = 0; i < outputs.size(); ++i) {
+    if (static_cast<std::int32_t>(i) == error_output) continue;
+    erroneous |= hw::differing_lanes(outputs[i], want[i]);
+  }
+  const P detected = error_output >= 0
+                         ? outputs[static_cast<std::size_t>(error_output)][0]
+                         : P{};
+  return {erroneous, detected};
+}
+
+/// One W-fault batch on the bit-plane backend: lane L runs job
+/// lane_ids[L] on the campaign-wide shared stream, broadcast to every
+/// lane, and classifies against the reference planes `want_planes`
+/// (samples x outputs). Stuck-at lanes are re-armed per sample from the
+/// duration model (pure hash of the global id, so the armed pattern is
+/// grouping-invariant) and SEU lanes flip their register bit at their
+/// hash-derived sample. Writes lane L's stats into out[L] — per-lane
+/// classification is exactly the scalar classify(), so the slot contents
+/// match run_one_fault bit for bit at every lane width and every id
+/// grouping.
 template <typename P>
 void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
-                     DfgBatchEvaluatorT<P>& ref,
                      std::span<const FaultJob> jobs,
-                     std::span<const std::uint64_t> ids, std::size_t at,
+                     std::span<const std::uint64_t> lane_ids,
                      const NetlistCampaignOptions& options,
                      std::span<const Word> shared_stream,
+                     std::span<const hw::BatchWordT<P>> want_planes,
                      std::span<fault::CampaignStats> out) {
-  const Netlist& netlist = sim.netlist();
-  const std::int32_t error_output = sim.plan().error_output;
   const std::size_t num_inputs = graph.inputs().size();
-  const int lanes = static_cast<int>(std::min<std::size_t>(
-      hw::PlaneTraits<P>::kLanes, ids.size() - at));
+  const std::size_t num_outputs = sim.plan().outputs.size();
+  const int lanes = static_cast<int>(lane_ids.size());
 
   sim.clear_lane_faults();
-  P stuck_lanes{};
+  P armed{};
   bool any_seu = false;
   for (int lane = 0; lane < lanes; ++lane) {
-    const std::uint64_t gi = ids[at + static_cast<std::size_t>(lane)];
-    const FaultJob& job = jobs[gi];
+    const FaultJob& job = jobs[lane_ids[static_cast<std::size_t>(lane)]];
     if (job.kind == FaultKind::kSeu) {
-      any_seu = true;  // flips are applied per sample below
+      any_seu = true;  // flips are applied per sample
     } else {
       sim.add_lane_fault(static_cast<int>(job.fu), job.site,
                          hw::plane_bit<P>(lane));
-      stuck_lanes |= hw::plane_bit<P>(lane);
+      armed |= hw::plane_bit<P>(lane);
     }
   }
   sim.reset();
 
-  std::vector<hw::BatchWordT<P>> in(netlist.input_names.size());
-  std::vector<hw::BatchWordT<P>> batch_out(netlist.outputs.size());
-  std::vector<hw::BatchWordT<P>> want(graph.outputs().size());
-  std::vector<hw::BatchWordT<P>> ref_state(graph.state_regs().size());
-
-  // Output i of the netlist is output i of the graph (the netlist builder
-  // preserves the graph's output order); sanity-checked by name below.
-  for (std::size_t i = 0; i < netlist.outputs.size(); ++i) {
-    SCK_EXPECTS(graph.node(graph.outputs()[i]).name ==
-                netlist.outputs[i].name);
-  }
-
-  // add_lane_fault armed every installed lane, so the permanent path never
-  // re-arms (zero extra work, byte-identical to the pre-duration engine).
-  P prev_armed = stuck_lanes;
+  std::vector<hw::BatchWordT<P>> in(num_inputs);
+  std::vector<hw::BatchWordT<P>> batch_out(num_outputs);
   for (int k = 0; k < options.samples_per_fault; ++k) {
-    if (options.duration != fault::FaultDuration::kPermanent) {
-      P armed{};
-      for (int lane = 0; lane < lanes; ++lane) {
-        const std::uint64_t gi = ids[at + static_cast<std::size_t>(lane)];
-        if (jobs[gi].kind != FaultKind::kSeu &&
-            fault_active_at(options, gi, k)) {
-          armed |= hw::plane_bit<P>(lane);
-        }
-      }
-      armed &= stuck_lanes;
-      if (!(armed == prev_armed)) {
-        sim.arm_lane_faults(armed);
-        prev_armed = armed;
-      }
-    }
-    if (any_seu) {
-      for (int lane = 0; lane < lanes; ++lane) {
-        const std::uint64_t gi = ids[at + static_cast<std::size_t>(lane)];
-        const FaultJob& job = jobs[gi];
-        if (job.kind == FaultKind::kSeu && seu_flip_sample(options, gi) == k) {
-          sim.flip_register_bit(static_cast<int>(job.fu), job.seu_bit,
-                                hw::plane_bit<P>(lane));
-        }
-      }
-    }
+    apply_sample_faults(sim, jobs, lane_ids, options, k, any_seu, armed);
+    const auto sample = static_cast<std::size_t>(k);
     for (std::size_t i = 0; i < num_inputs; ++i) {
-      const Node& n = graph.node(graph.inputs()[i]);
-      in[i] = hw::broadcast_word<P>(
-          shared_stream[static_cast<std::size_t>(k) * num_inputs + i],
-          n.width);
+      in[i] = hw::broadcast_word<P>(shared_stream[sample * num_inputs + i],
+                                    graph.node(graph.inputs()[i]).width);
     }
-    ref.eval(in, ref_state, want);
     sim.step_sample_batch(in, batch_out);
 
-    P erroneous{};
-    for (std::size_t i = 0; i < netlist.outputs.size(); ++i) {
-      if (static_cast<std::int32_t>(i) == error_output) continue;
-      erroneous |= hw::differing_lanes(batch_out[i], want[i]);
-    }
-    const P detected =
-        error_output >= 0
-            ? batch_out[static_cast<std::size_t>(error_output)][0]
-            : P{};
-    const fault::LaneVerdictT<P> verdict{erroneous, detected};
+    const fault::LaneVerdictT<P> verdict = sample_verdict<P>(
+        batch_out, want_planes.subspan(sample * num_outputs, num_outputs),
+        sim.plan().error_output);
     for (int lane = 0; lane < lanes; ++lane) {
-      out[at + static_cast<std::size_t>(lane)].record(
+      out[static_cast<std::size_t>(lane)].record(
           fault::lane_outcome(verdict, lane));
     }
   }
 }
 
-/// One W-fault batch on the incremental backend over an arbitrary job-id
-/// list: replay the union fan-out cone of the batch's faults over the
-/// precomputed golden trace, classifying against the pre-broadcast
-/// reference outputs. Duration-model extensions:
+/// One W-fault batch on the incremental backend (lane L runs job
+/// lane_ids[L]): replay the union fan-out cone of the batch's faults over
+/// the precomputed golden trace, classifying against the reference planes.
+/// Duration-model extensions:
 ///   - samples before the batch's earliest possible divergence (the
 ///     minimum first_active_sample over its lanes) are not simulated at
 ///     all — every lane is provably golden there, so the precomputed
@@ -254,21 +299,18 @@ void run_incremental_batch(NetlistIncrementalSimT<P>& sim,
                            std::span<const hw::BatchWordT<P>> want_planes,
                            std::span<const fault::Outcome> golden_outcome,
                            std::span<const FaultJob> jobs,
-                           std::span<const std::uint64_t> ids, std::size_t at,
+                           std::span<const std::uint64_t> lane_ids,
                            const NetlistCampaignOptions& options,
                            std::span<fault::CampaignStats> out) {
-  const ExecPlan& plan = sim.plan();
-  const std::int32_t error_output = plan.error_output;
-  const std::size_t num_outputs = plan.outputs.size();
-  const int lanes = static_cast<int>(std::min<std::size_t>(
-      hw::PlaneTraits<P>::kLanes, ids.size() - at));
+  const std::size_t num_outputs = sim.plan().outputs.size();
+  const int lanes = static_cast<int>(lane_ids.size());
 
   sim.clear_lane_faults();
-  P stuck_lanes{};
+  P armed{};
   bool any_seu = false;
   int start_k = options.samples_per_fault;
   for (int lane = 0; lane < lanes; ++lane) {
-    const std::uint64_t gi = ids[at + static_cast<std::size_t>(lane)];
+    const std::uint64_t gi = lane_ids[static_cast<std::size_t>(lane)];
     const FaultJob& job = jobs[gi];
     if (job.kind == FaultKind::kSeu) {
       sim.add_lane_seu(static_cast<int>(job.fu), job.seu_bit,
@@ -277,7 +319,7 @@ void run_incremental_batch(NetlistIncrementalSimT<P>& sim,
     } else {
       sim.add_lane_fault(static_cast<int>(job.fu), job.site,
                          hw::plane_bit<P>(lane));
-      stuck_lanes |= hw::plane_bit<P>(lane);
+      armed |= hw::plane_bit<P>(lane);
     }
     start_k = std::min(start_k, first_active_sample(options, job, gi));
   }
@@ -287,7 +329,7 @@ void run_incremental_batch(NetlistIncrementalSimT<P>& sim,
   // precomputed fault-free outcome of each sample without simulating.
   for (int k = 0; k < start_k; ++k) {
     for (int lane = 0; lane < lanes; ++lane) {
-      out[at + static_cast<std::size_t>(lane)].record(golden_outcome[k]);
+      out[static_cast<std::size_t>(lane)].record(golden_outcome[k]);
     }
   }
   if (start_k >= options.samples_per_fault) return;
@@ -295,55 +337,24 @@ void run_incremental_batch(NetlistIncrementalSimT<P>& sim,
 
   std::vector<hw::BatchWordT<P>> batch_out(num_outputs);
   P active = hw::plane_prefix<P>(lanes);
-  P prev_armed = stuck_lanes;  // add_lane_fault armed every stuck lane
   for (int k = start_k; k < options.samples_per_fault; ++k) {
-    if (options.duration != fault::FaultDuration::kPermanent) {
-      P armed{};
-      for (int lane = 0; lane < lanes; ++lane) {
-        const std::uint64_t gi = ids[at + static_cast<std::size_t>(lane)];
-        if (jobs[gi].kind != FaultKind::kSeu &&
-            fault_active_at(options, gi, k)) {
-          armed |= hw::plane_bit<P>(lane);
-        }
-      }
-      if (!(armed == prev_armed)) {
-        sim.arm_lane_faults(armed);
-        prev_armed = armed;
-      }
-    }
-    if (any_seu) {
-      for (int lane = 0; lane < lanes; ++lane) {
-        const std::uint64_t gi = ids[at + static_cast<std::size_t>(lane)];
-        const FaultJob& job = jobs[gi];
-        if (job.kind == FaultKind::kSeu && seu_flip_sample(options, gi) == k) {
-          sim.flip_register_bit(static_cast<int>(job.fu), job.seu_bit,
-                                hw::plane_bit<P>(lane));
-        }
-      }
-    }
+    apply_sample_faults(sim, jobs, lane_ids, options, k, any_seu, armed);
     sim.replay_sample(trace, k, batch_out);
 
-    P erroneous{};
-    for (std::size_t i = 0; i < num_outputs; ++i) {
-      if (static_cast<std::int32_t>(i) == error_output) continue;
-      erroneous |= hw::differing_lanes(
-          batch_out[i],
-          want_planes[static_cast<std::size_t>(k) * num_outputs + i]);
-    }
-    const P detected =
-        error_output >= 0
-            ? batch_out[static_cast<std::size_t>(error_output)][0]
-            : P{};
-    const fault::LaneVerdictT<P> verdict{erroneous, detected};
+    const fault::LaneVerdictT<P> verdict = sample_verdict<P>(
+        batch_out,
+        want_planes.subspan(static_cast<std::size_t>(k) * num_outputs,
+                            num_outputs),
+        sim.plan().error_output);
     for (int lane = 0; lane < lanes; ++lane) {
       if (hw::plane_test(active, lane)) {
-        out[at + static_cast<std::size_t>(lane)].record(
+        out[static_cast<std::size_t>(lane)].record(
             fault::lane_outcome(verdict, lane));
       }
     }
 
     if (options.fault_dropping) {
-      const P retire = detected & active;
+      const P retire = verdict.check_failed & active;
       if (hw::plane_any(retire)) {
         active &= ~retire;
         if (!hw::plane_any(active)) break;
@@ -483,11 +494,10 @@ struct CampaignSliceRunner::Impl {
   int lane_width = 0;
   std::vector<FaultJob> jobs;
   std::vector<Word> shared_stream;  ///< samples x graph inputs
-  // Incremental backend only: cones + golden trace + the scalar reference
-  // outputs (broadcast to planes per run_slice call, cheap).
+  std::vector<Word> want_values;    ///< reference table, samples x outputs
+  // Incremental backend only: cones + golden trace.
   std::unique_ptr<FaultCones> cones;
   GoldenTrace trace;
-  std::vector<Word> want_values;  ///< samples x outputs, width-truncated
   /// Per-sample outcome of a fault-free lane, classified once through the
   /// incremental path itself: what the prefix skip records for samples
   /// before a batch's earliest possible divergence.
@@ -521,75 +531,44 @@ CampaignSliceRunner::CampaignSliceRunner(const Dfg& graph,
         impl->lane_width = hw::resolve_lanes(options.lanes);
         impl->jobs = enumerate_fault_jobs(impl->netlist, options);
 
-        // The shared input stream: one (seed, sample index)-keyed stream
-        // every fault replays.
+        // The shared input stream every fault replays, and the fault-free
+        // reference outputs every backend classifies against: both depend
+        // only on (graph, seed, sample index), so both are built once.
         impl->shared_stream = make_shared_stream(impl->graph, options);
+        impl->want_values = make_reference_table(
+            impl->graph, impl->netlist, impl->shared_stream,
+            options.samples_per_fault);
 
         if (options.backend == NetlistBackend::kIncremental) {
-          // The fault-free work happens ONCE per campaign: the golden
-          // trace (scalar replay recording every wire) and the scalar Dfg
-          // reference outputs.
+          // The fault-free netlist execution happens ONCE per campaign:
+          // the golden trace (scalar replay recording every wire).
           impl->cones = std::make_unique<FaultCones>(
               impl->plan, /*include_seu=*/options.seu_faults);
           impl->trace = record_golden_trace(impl->plan, impl->shared_stream,
                                             options.samples_per_fault);
-          const std::size_t num_outputs = impl->netlist.outputs.size();
-          for (std::size_t i = 0; i < num_outputs; ++i) {
-            SCK_EXPECTS(impl->graph.node(impl->graph.outputs()[i]).name ==
-                        impl->netlist.outputs[i].name);
-          }
-          impl->want_values.resize(
-              static_cast<std::size_t>(options.samples_per_fault) *
-              num_outputs);
-          std::vector<std::uint64_t> ref_state(impl->graph.state_regs().size(),
-                                               0);
-          std::unordered_map<std::string, std::uint64_t> ref_in;
-          for (int k = 0; k < options.samples_per_fault; ++k) {
-            for (std::size_t i = 0; i < impl->graph.inputs().size(); ++i) {
-              const Node& n = impl->graph.node(impl->graph.inputs()[i]);
-              ref_in[n.name] =
-                  impl->shared_stream[static_cast<std::size_t>(k) *
-                                          impl->graph.inputs().size() +
-                                      i];
-            }
-            const auto want = impl->graph.eval(ref_in, ref_state);
-            for (std::size_t i = 0; i < num_outputs; ++i) {
-              const Node& n = impl->graph.node(impl->graph.outputs()[i]);
-              impl->want_values[static_cast<std::size_t>(k) * num_outputs +
-                                i] = trunc(want.outputs.at(n.name), n.width);
-            }
-          }
 
           // Classify one fault-free lane per sample, once, through the
           // incremental replay path itself (empty cone: pure splicing).
           // The prefix skip of run_incremental_batch records these
           // outcomes verbatim — by construction exactly what simulating a
           // never-diverged lane would have recorded.
+          const std::size_t num_outputs = impl->netlist.outputs.size();
           NetlistIncrementalSim gsim(impl->plan, *impl->cones);
-          const std::int32_t error_output = impl->plan.error_output;
           std::vector<hw::BatchWordT<hw::Plane64>> go(num_outputs);
+          std::vector<hw::BatchWordT<hw::Plane64>> want(num_outputs);
           impl->golden_outcome.reserve(
               static_cast<std::size_t>(options.samples_per_fault));
           for (int k = 0; k < options.samples_per_fault; ++k) {
             gsim.replay_sample(impl->trace, k, go);
-            hw::Plane64 erroneous{};
-            for (std::size_t i = 0; i < num_outputs; ++i) {
-              if (static_cast<std::int32_t>(i) == error_output) continue;
-              const Node& n = impl->graph.node(impl->graph.outputs()[i]);
-              erroneous |= hw::differing_lanes(
-                  go[i],
-                  hw::broadcast_word<hw::Plane64>(
-                      impl->want_values[static_cast<std::size_t>(k) *
-                                            num_outputs +
-                                        i],
-                      n.width));
-            }
-            const hw::Plane64 detected =
-                error_output >= 0
-                    ? go[static_cast<std::size_t>(error_output)][0]
-                    : hw::Plane64{};
+            broadcast_reference<hw::Plane64>(
+                impl->graph,
+                std::span<const Word>(impl->want_values)
+                    .subspan(static_cast<std::size_t>(k) * num_outputs,
+                             num_outputs),
+                want);
             impl->golden_outcome.push_back(fault::lane_outcome(
-                fault::LaneVerdictT<hw::Plane64>{erroneous, detected}, 0));
+                sample_verdict<hw::Plane64>(go, want, impl->plan.error_output),
+                0));
           }
         }
         return impl;
@@ -649,70 +628,49 @@ void CampaignSliceRunner::run_jobs(std::span<const std::uint64_t> ids,
     fault::parallel_shard(
         ids.size(), options.threads, [&im] { return NetlistSim(im.plan); },
         [&](NetlistSim& sim, std::size_t j) {
-          out[j] = run_one_fault(im.graph, sim, options, jobs[ids[j]],
-                                 ids[j], im.shared_stream);
+          out[j] = run_one_fault(sim, options, jobs[ids[j]], ids[j],
+                                 im.shared_stream, im.want_values);
         });
-  } else if (options.backend == NetlistBackend::kBatched) {
-    // Shard W-fault batches; each worker owns a batched simulator over
-    // the shared plan plus a copy of one compiled reference evaluator.
-    // The lane width only sizes the batches — per-job slots and the
-    // job-order reduction are width-invariant.
-    //
-    // The reference "error" flag is never read (it is 0 by construction
-    // on fault-free hardware), so the reference skips the check cone; the
-    // prototype is compiled (topo + DCE) once and copied per worker.
-    hw::dispatch_plane(im.lane_width, [&]<typename P>(std::type_identity<P>) {
-      constexpr std::size_t kW = hw::PlaneTraits<P>::kLanes;
-      const std::size_t batches = (ids.size() + kW - 1) / kW;
-      const DfgBatchEvaluatorT<P> ref_proto(im.graph, "error");
-      struct BatchContext {
-        NetlistBatchSimT<P> sim;
-        DfgBatchEvaluatorT<P> ref;
-        BatchContext(const ExecPlan& p, const DfgBatchEvaluatorT<P>& proto)
-            : sim(p), ref(proto) {}
-        BatchContext(const BatchContext&) = delete;
-        BatchContext& operator=(const BatchContext&) = delete;
-      };
-      fault::parallel_shard(
-          batches, options.threads,
-          [&im, &ref_proto] { return BatchContext(im.plan, ref_proto); },
-          [&](BatchContext& ctx, std::size_t b) {
-            run_fault_batch(im.graph, ctx.sim, ctx.ref, jobs, ids, b * kW,
-                            options, im.shared_stream, out);
-          });
-    });
-  } else {
-    hw::dispatch_plane(im.lane_width, [&]<typename P>(std::type_identity<P>) {
-      constexpr std::size_t kW = hw::PlaneTraits<P>::kLanes;
-      const std::size_t batches = (ids.size() + kW - 1) / kW;
-      // Broadcast the precomputed scalar reference outputs to this width's
-      // planes (per call — one call per campaign single-host, one per
-      // shard on a service worker).
-      std::vector<hw::BatchWordT<P>> want_planes(im.want_values.size());
-      const std::size_t num_outputs = im.netlist.outputs.size();
-      for (std::size_t v = 0; v < im.want_values.size(); ++v) {
-        const Node& n =
-            im.graph.node(im.graph.outputs()[v % num_outputs]);
-        want_planes[v] = hw::broadcast_word<P>(im.want_values[v], n.width);
-      }
-
-      struct IncrementalContext {
-        NetlistIncrementalSimT<P> sim;
-        IncrementalContext(const ExecPlan& p, const FaultCones& c)
-            : sim(p, c) {}
-        IncrementalContext(const IncrementalContext&) = delete;
-        IncrementalContext& operator=(const IncrementalContext&) = delete;
-      };
-      fault::parallel_shard(
-          batches, options.threads,
-          [&im] { return IncrementalContext(im.plan, *im.cones); },
-          [&](IncrementalContext& ctx, std::size_t b) {
-            run_incremental_batch<P>(ctx.sim, im.trace, want_planes,
-                                     im.golden_outcome, jobs, ids, b * kW,
-                                     options, out);
-          });
-    });
+    return;
   }
+  // Both bit-plane backends shard W-fault batches; each worker owns a
+  // simulator over the shared plan. The lane width only sizes the batches
+  // — per-job slots and the job-order reduction are width-invariant.
+  hw::dispatch_plane(im.lane_width, [&]<typename P>(std::type_identity<P>) {
+    constexpr std::size_t kW = hw::PlaneTraits<P>::kLanes;
+    const std::size_t batches = (ids.size() + kW - 1) / kW;
+    const auto lanes_of = [&](std::size_t b) {
+      return std::min(kW, ids.size() - b * kW);
+    };
+    // Broadcast the reference table to this width's planes (per call —
+    // one call per campaign single-host, one per shard on a service
+    // worker).
+    std::vector<hw::BatchWordT<P>> want_planes(im.want_values.size());
+    broadcast_reference<P>(im.graph, im.want_values, want_planes);
+
+    if (options.backend == NetlistBackend::kBatched) {
+      fault::parallel_shard(
+          batches, options.threads,
+          [&im] { return NetlistBatchSimT<P>(im.plan); },
+          [&](NetlistBatchSimT<P>& sim, std::size_t b) {
+            run_fault_batch<P>(im.graph, sim, jobs,
+                               ids.subspan(b * kW, lanes_of(b)), options,
+                               im.shared_stream, want_planes,
+                               out.subspan(b * kW, lanes_of(b)));
+          });
+    } else {
+      fault::parallel_shard(
+          batches, options.threads,
+          [&im] { return NetlistIncrementalSimT<P>(im.plan, *im.cones); },
+          [&](NetlistIncrementalSimT<P>& sim, std::size_t b) {
+            run_incremental_batch<P>(sim, im.trace, want_planes,
+                                     im.golden_outcome, jobs,
+                                     ids.subspan(b * kW, lanes_of(b)),
+                                     options,
+                                     out.subspan(b * kW, lanes_of(b)));
+          });
+    }
+  });
 }
 
 NetlistCampaignResult run_netlist_campaign(

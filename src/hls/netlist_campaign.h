@@ -7,7 +7,8 @@
 // substrate: it sweeps the complete stuck-at fault universe of every
 // functional unit of a generated netlist, drives every faulty configuration
 // with one reproducible (seed, sample index)-keyed input stream, compares
-// the data outputs against the fault-free reference model, and classifies
+// the data outputs against the fault-free reference model (one Dfg::eval
+// table per campaign, shared by every backend), and classifies
 // every sample with the same four-way taxonomy as the unit-level campaigns
 // — yielding the *final realization's* coverage, which the paper could
 // only estimate.
@@ -15,14 +16,12 @@
 // Three execution backends drive the sweep (hls/netlist_exec.h):
 //   kScalar       the compiled scalar interpreter, one fault at a time;
 //   kBatched      the W-lane bit-plane engine — W faults per batch (lane
-//                 = fault, via per-lane LaneFaultSetT hooks), checked
-//                 against the plane-wise Dfg reference model
-//                 (DfgBatchEvaluatorT);
-//   kIncremental  golden-trace fault-cone replay: the fault-free
-//                 execution and the Dfg reference are computed ONCE per
-//                 campaign, and each batch replays only the union fan-out
-//                 cone of its ≤W faulted FUs, splicing everything else
-//                 from the golden trace.
+//                 = fault, via per-lane LaneFaultSetT hooks), every lane
+//                 stepped on the broadcast stream;
+//   kIncremental  golden-trace fault-cone replay: the fault-free netlist
+//                 execution is recorded ONCE per campaign, and each batch
+//                 replays only the union fan-out cone of its ≤W faulted
+//                 FUs, splicing everything else from the golden trace.
 // The lane width W is resolved once per campaign (options.lanes, the
 // SCK_LANES env var, or hw::kDefaultLanes — see hw::resolve_lanes) and only
 // changes how faults are grouped into batches: per-fault stats land in

@@ -554,8 +554,8 @@ class NetlistBatchSimT {
 
   /// Run one sample iteration on all W lanes: `inputs` by position in
   /// netlist().input_names (planes at or above the data width must be
-  /// zero, which pack() guarantees), `outputs` filled by position in
-  /// netlist().outputs.
+  /// zero, which broadcast_word() guarantees), `outputs` filled by
+  /// position in netlist().outputs.
   void step_sample_batch(std::span<const hw::BatchWordT<P>> inputs,
                          std::span<hw::BatchWordT<P>> outputs);
 

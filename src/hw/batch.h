@@ -74,8 +74,8 @@ inline constexpr std::array<LaneMask, 6> kLaneIndexPlane = {
     0xFFFF'0000'FFFF'0000ULL, 0xFFFF'FFFF'0000'0000ULL};
 
 /// Lane-packed n-bit ring words over plane word P. Planes at or above the
-/// word's width must be zero (pack() and all unit batch APIs maintain this
-/// invariant). kMaxWidth + 2 planes cover the dividers' widest internal
+/// word's width must be zero (broadcast_word() and all unit batch APIs
+/// maintain this invariant). kMaxWidth + 2 planes cover the dividers' widest internal
 /// chains.
 template <typename P>
 struct BatchWordT {
@@ -114,8 +114,9 @@ decltype(auto) dispatch_plane(int lanes, Fn&& fn) {
 
 /// In-place transpose of a 64x64 bit matrix (Hacker's Delight 7-3 delta-swap
 /// network). Under LSB-first indexing this flips about the anti-diagonal:
-/// after the call, m[i] bit L == original m[63-L] bit (63-i). pack()
-/// compensates by reversing the row and plane indices, which costs nothing.
+/// after the call, m[i] bit L == original m[63-L] bit (63-i). Callers
+/// (fault::pack_pairs) compensate by reversing the row and plane indices,
+/// which costs nothing.
 inline void transpose64(std::uint64_t m[kLanes]) {
   std::uint64_t mask = 0x0000'0000'FFFF'FFFFULL;
   for (int j = 32; j != 0; j >>= 1, mask ^= mask << j) {
@@ -125,31 +126,6 @@ inline void transpose64(std::uint64_t m[kLanes]) {
       m[k + j] ^= t << j;
     }
   }
-}
-
-/// Pack up to W scalar words into bit-plane layout, one transpose64 per
-/// 64-lane block. Lanes beyond values.size() are zero.
-template <typename P = LaneMask>
-[[nodiscard]] BatchWordT<P> pack(std::span<const Word> values, int width) {
-  constexpr int kWidthLanes = PlaneTraits<P>::kLanes;
-  SCK_EXPECTS(static_cast<int>(values.size()) <= kWidthLanes);
-  SCK_EXPECTS(width >= 1 && width <= kMaxWidth);
-  BatchWordT<P> out;
-  for (int blk = 0; blk < PlaneTraits<P>::kWords; ++blk) {
-    const std::size_t base = static_cast<std::size_t>(blk) * 64;
-    if (base >= values.size()) break;
-    std::uint64_t rows[kLanes] = {};
-    const std::size_t count =
-        values.size() - base < 64 ? values.size() - base : 64;
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      rows[kLanes - 1 - lane] = trunc(values[base + lane], width);
-    }
-    transpose64(rows);
-    for (int i = 0; i < width; ++i) {
-      PlaneTraits<P>::set_word(out[i], blk, rows[kLanes - 1 - i]);
-    }
-  }
-  return out;
 }
 
 /// Read lane `lane` of a batch word back as a scalar.
@@ -390,12 +366,6 @@ template <typename P>
   BatchWordT<P> diff;
   golden_add(a, nb, plane_ones<P>(), width, diff);
   return diff;
-}
-
-/// -x in the n-bit ring.
-template <typename P>
-[[nodiscard]] BatchWordT<P> golden_neg(const BatchWordT<P>& x, int width) {
-  return golden_sub(BatchWordT<P>{}, x, width);
 }
 
 /// a * b (low word) in the n-bit ring: shift-and-add with each partial

@@ -2,23 +2,27 @@
 // (test_netlist_batch / test_netlist_incremental / test_backend_differential):
 // one synthesis recipe, ONE definition of campaign-result equality (so a
 // new NetlistCampaignResult/CampaignStats field cannot be silently dropped
-// from a subset of the comparisons) and one block-at-a-time re-derivation
-// of the sampled campaign.
+// from a subset of the comparisons), a fault-by-fault re-derivation of the
+// whole campaign and one block-at-a-time re-derivation of the sampled
+// campaign.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
+#include "fault/outcome.h"
 #include "fault/stats.h"
 #include "hls/bind.h"
 #include "hls/dfg.h"
 #include "hls/expand_sck.h"
 #include "hls/netlist.h"
 #include "hls/netlist_campaign.h"
+#include "hls/netlist_sim.h"
 #include "hls/schedule.h"
 
 namespace sck::hls {
@@ -48,6 +52,63 @@ inline Dfg ced(const Dfg& g, CedStyle style) {
 inline bool same_campaign_result(const NetlistCampaignResult& x,
                                  const NetlistCampaignResult& y) {
   return x == y;
+}
+
+/// A netlist campaign re-derived fault by fault from its definition, with
+/// nothing shared with the runner but the job list, the duration hashes
+/// and the slice reduction. The input stream is restated here (sample k
+/// draws each graph input, in graph order, from one Xoshiro256 keyed by
+/// (seed, k), bounded by the input's width); every job replays it through
+/// a NetlistSim of its own, name-keyed, and checks each sample against a
+/// fresh Dfg::eval of that sample, output by output name. The runner
+/// builds one reference table per campaign and compares by position on
+/// every backend; run_netlist_campaign must equal this on all of them.
+inline NetlistCampaignResult per_fault_campaign(
+    const Dfg& g, const Netlist& nl, const NetlistCampaignOptions& opt) {
+  using InputMap = std::unordered_map<std::string, std::uint64_t>;
+  std::vector<InputMap> stream(
+      static_cast<std::size_t>(opt.samples_per_fault));
+  for (int k = 0; k < opt.samples_per_fault; ++k) {
+    Xoshiro256 rng(opt.seed ^ 0xD1B54A32D192ED03ULL ^
+                   ((static_cast<std::uint64_t>(k) + 1) *
+                    0x9E3779B97F4A7C15ULL));
+    for (const NodeId in : g.inputs()) {
+      const Node& n = g.node(in);
+      stream[static_cast<std::size_t>(k)][n.name] =
+          rng.bounded(Word{1} << n.width);
+    }
+  }
+
+  const std::vector<FaultJob> jobs = enumerate_fault_jobs(nl, opt);
+  std::vector<fault::CampaignStats> per_job(jobs.size());
+  NetlistSim sim(nl);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const FaultJob& job = jobs[j];
+    const bool seu = job.kind == FaultKind::kSeu;
+    std::vector<std::uint64_t> ref_state(g.state_regs().size(), 0);
+    sim.reset();
+    for (int k = 0; k < opt.samples_per_fault; ++k) {
+      if (!seu) {
+        sim.set_fu_fault(job.fu, fault_active_at(opt, j, k)
+                                     ? job.site
+                                     : hw::FaultSite{});
+      } else if (k == seu_flip_sample(opt, j)) {
+        sim.flip_register_bit(job.fu, job.seu_bit);
+      }
+      const InputMap& in = stream[static_cast<std::size_t>(k)];
+      const auto got = sim.step_sample(in);
+      const auto want = g.eval(in, ref_state);
+      bool erroneous = false;
+      for (const auto& [name, value] : want.outputs) {
+        if (name != "error" && got.at(name) != value) erroneous = true;
+      }
+      const auto error = got.find("error");
+      const bool detected = error != got.end() && error->second != 0;
+      per_job[j].record(fault::classify(erroneous, !detected));
+    }
+    if (!seu) sim.set_fu_fault(job.fu, hw::FaultSite{});
+  }
+  return reduce_campaign_slices(nl, jobs, per_job);
 }
 
 /// A sampled campaign re-derived one block at a time from its definition:

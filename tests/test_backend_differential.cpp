@@ -12,7 +12,8 @@
 //    NetlistSim run of that fault — the strongest oracle, data values
 //    compared before any campaign-level aggregation — at every plane
 //    width (64/128/256/512 lanes);
-//  * per campaign: kScalar == kBatched == kIncremental
+//  * per campaign: the per-fault re-derivation (a fresh Dfg::eval per
+//    sample of every fault) == kScalar == kBatched == kIncremental
 //    NetlistCampaignResults (aggregate + per-unit) at lanes
 //    64/128/256/512 x threads 1/2/8, including the partial final batch
 //    every full universe ends in (the small fuzz universes leave a
@@ -258,6 +259,12 @@ void expect_campaigns_identical_for(NetlistCampaignOptions opt, const Dfg& g,
   opt.threads = 1;
   const NetlistCampaignResult anchor = run_netlist_campaign(g, nl, opt);
   EXPECT_GT(anchor.aggregate.total(), 0u) << nl.name;
+  // The anchor itself against the fault-by-fault re-derivation that keeps
+  // no shared reference table (netlist_test_util.h); every other backend
+  // is held to the anchor below.
+  EXPECT_TRUE(same_campaign_result(anchor, per_fault_campaign(g, nl, opt)))
+      << nl.name << ": scalar backend diverged from the per-fault "
+      << "re-derivation";
 
   // Scalar at the remaining thread counts (lane width is irrelevant
   // there), then the wide backends at every lane width x thread count.

@@ -20,6 +20,7 @@
 #include "hw/non_restoring_divider.h"
 #include "hw/restoring_divider.h"
 #include "hw/ripple_carry_adder.h"
+#include "pack_test_util.h"
 
 namespace sck::fault {
 namespace {

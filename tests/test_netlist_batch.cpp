@@ -21,6 +21,7 @@
 #include "hls/schedule.h"
 #include "hw/batch.h"
 #include "netlist_test_util.h"
+#include "pack_test_util.h"
 
 namespace sck::hls {
 namespace {

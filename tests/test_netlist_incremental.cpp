@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "codesign/kernel.h"
+#include "codesign/variant.h"
 #include "hls/builder.h"
 #include "hls/expand_sck.h"
 #include "hls/netlist.h"
@@ -181,6 +183,46 @@ TEST(NetlistIncremental, SharedStreamIdenticalAcrossAllBackends) {
   opt.threads = 2;
   const auto inc_r = run_netlist_campaign(g, nl, opt);
   EXPECT_TRUE(same_campaign_result(scalar_r, inc_r));
+}
+
+// ---- the shared reference table against a per-fault re-derivation --------
+
+TEST(NetlistIncremental, BuiltinKernelsMatchPerFaultRederivation) {
+  // Every backend classifies against ONE reference table built per
+  // campaign; the oracle instead re-runs Dfg::eval for every sample of
+  // every fault (netlist_test_util.h). Each builtin kernel, in every
+  // protection variant, at a stride, under permanent stuck-ats and under
+  // transient windows plus register-bit upsets.
+  const codesign::KernelRegistry registry = codesign::builtin_registry();
+  for (const std::string& name : registry.names()) {
+    for (const codesign::Variant variant : codesign::kAllVariants) {
+      const Dfg g = codesign::variant_graph(registry.at(name), 8, variant);
+      const Netlist nl =
+          synthesize(g, ResourceConstraints::min_area(), name + "_ref");
+      NetlistCampaignOptions opt;
+      opt.samples_per_fault = 12;
+      opt.fault_stride = 11;
+      opt.seed = 0x7AB1E;
+      for (const bool transient : {false, true}) {
+        opt.duration = transient ? fault::FaultDuration::kTransient
+                                 : fault::FaultDuration::kPermanent;
+        opt.transient_samples = 5;
+        opt.seu_faults = transient;
+        const NetlistCampaignResult want = per_fault_campaign(g, nl, opt);
+        EXPECT_GT(want.aggregate.total(), 0u) << name;
+        for (const NetlistBackend backend :
+             {NetlistBackend::kScalar, NetlistBackend::kBatched,
+              NetlistBackend::kIncremental}) {
+          opt.backend = backend;
+          EXPECT_TRUE(same_campaign_result(run_netlist_campaign(g, nl, opt),
+                                           want))
+              << name << " variant " << codesign::to_string(variant)
+              << " backend " << static_cast<int>(backend)
+              << (transient ? " transient+SEU" : " permanent");
+        }
+      }
+    }
+  }
 }
 
 // ---- fault dropping -------------------------------------------------------

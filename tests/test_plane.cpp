@@ -14,6 +14,7 @@
 #include "common/word.h"
 #include "hw/batch.h"
 #include "hw/plane.h"
+#include "pack_test_util.h"
 
 namespace sck::hw {
 namespace {
