@@ -66,9 +66,11 @@ constexpr std::uint64_t kSeuSalt = 0x9E6C63D0876A9A4FULL;
 
 /// The fault-free reference table: Dfg::eval once per sample of the shared
 /// stream from the all-zero register state (samples x graph outputs,
-/// sample-major, each value truncated to its output's width). Output i of
-/// the netlist is output i of the graph — the netlist builder preserves
-/// the graph's output order — so every backend compares by position.
+/// sample-major). The values need no truncation: Dfg::eval truncates each
+/// operator to its node's width, a register carries its next-state node's
+/// value and an output takes its operand's width. Output i of the netlist
+/// is output i of the graph — the netlist builder preserves the graph's
+/// output order — so every backend compares by position.
 [[nodiscard]] std::vector<Word> make_reference_table(
     const Dfg& graph, const Netlist& netlist,
     std::span<const Word> shared_stream, int samples) {
@@ -90,7 +92,7 @@ constexpr std::uint64_t kSeuSalt = 0x9E6C63D0876A9A4FULL;
     const auto want = graph.eval(in, state);
     for (std::size_t i = 0; i < num_outputs; ++i) {
       const Node& n = graph.node(graph.outputs()[i]);
-      table[k * num_outputs + i] = trunc(want.outputs.at(n.name), n.width);
+      table[k * num_outputs + i] = want.outputs.at(n.name);
     }
   }
   return table;

@@ -22,7 +22,11 @@
 //   - the (single) faulty cell: its corrupted CellLut is compiled once at
 //     set_fault time into a CellBatch — one 8-bit truth-table mask per
 //     output — and evaluated generically as a sum of minterms over the
-//     input planes.
+//     input planes;
+//   - per-lane faulty cells (lane = fault): a LaneFaultSetT holds one lane
+//     truth table per faulty cell — per output and input row, the lanes
+//     whose faulty LUT yields 1 — merged from every fault on that cell and
+//     evaluated as a sum of minterms with lane-mask coefficients.
 //
 // The batch path is lane-for-lane identical to the scalar LUT path by
 // construction: both read the same CellLut rows; the differential tests in
@@ -34,7 +38,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -228,71 +231,80 @@ struct CellBatch {
 /// execution backend where lane L of a batch simulates its own injected
 /// fault (lane = fault, not lane = input pattern). Unlike the single-fault
 /// CellBatch path, different lanes may corrupt different cells with
-/// different truth tables; each entry pins one compiled faulty LUT to a
-/// set of lanes of one cell. A unit evaluates the golden plane expression
-/// for every cell and blends each matching entry's CellBatch output into
-/// the entry's lanes (see FaultableUnit::set_lane_faults).
+/// different truth tables.
+///
+/// The table keeps one *lane truth table* per faulty cell, however many
+/// faults share it: rows[o][r] is the set of lanes whose faulty LUT drives
+/// output o to 1 on input row r, `lanes` is the union of the cell's faulty
+/// lanes and `words` marks the 64-bit plane words those lanes touch. A
+/// unit evaluates the golden plane expression for every cell and, on a
+/// faulty cell, splices the table's output into its lanes one touched word
+/// at a time (see FaultableUnit::set_lane_faults) — one minterm pass per
+/// word, not one LUT evaluation per fault.
 ///
 /// Lane discipline: a lane hosts at most one fault across the whole design,
-/// so entries targeting the same cell must carry disjoint lane masks.
+/// so faults added to the same cell must carry disjoint lane masks.
 template <typename P>
 class LaneFaultSetT {
+  static_assert(PlaneTraits<P>::kWords <= 32, "CellTable::words is 32 bits");
+
  public:
-  struct Entry {
-    int cell = -1;
-    CellBatch batch;
+  struct CellTable {
+    std::array<std::array<P, 8>, 2> rows{};
     P lanes{};
+    std::uint32_t words = 0;
   };
 
-  /// Size the per-cell occupancy index once (cells never change).
+  /// Size the per-cell slot index once (cells never change).
   explicit LaneFaultSetT(int cell_count)
-      : faulty_lanes_(static_cast<std::size_t>(cell_count), P{}),
-        by_cell_(static_cast<std::size_t>(cell_count)) {}
+      : slot_(static_cast<std::size_t>(cell_count), -1) {}
 
-  /// Drop all entries (cheap: only previously-touched cells are cleared).
+  /// Drop all faults (cheap: only previously-touched cells are reset).
   void clear() {
-    for (const Entry& e : entries_) {
-      faulty_lanes_[static_cast<std::size_t>(e.cell)] = P{};
-      by_cell_[static_cast<std::size_t>(e.cell)].clear();
-    }
-    entries_.clear();
+    for (const int cell : cells_) slot_[static_cast<std::size_t>(cell)] = -1;
+    cells_.clear();
+    tables_.clear();
   }
 
-  /// Corrupt `cell` on `lanes` with the compiled faulty truth table.
+  /// Corrupt `cell` on `lanes` with the faulty truth table.
   void add(int cell, const CellLut& faulty_lut, const P& lanes) {
-    SCK_EXPECTS(cell >= 0 &&
-                static_cast<std::size_t>(cell) < faulty_lanes_.size());
-    SCK_EXPECTS(
-        !plane_any(faulty_lanes_[static_cast<std::size_t>(cell)] & lanes) &&
-        "a lane hosts at most one fault per cell");
-    faulty_lanes_[static_cast<std::size_t>(cell)] |= lanes;
-    by_cell_[static_cast<std::size_t>(cell)].push_back(
-        static_cast<std::uint32_t>(entries_.size()));
-    entries_.push_back(Entry{cell, CellBatch::compile(faulty_lut), lanes});
+    SCK_EXPECTS(cell >= 0 && static_cast<std::size_t>(cell) < slot_.size());
+    int& slot = slot_[static_cast<std::size_t>(cell)];
+    if (slot < 0) {
+      slot = static_cast<int>(tables_.size());
+      tables_.emplace_back();
+      cells_.push_back(cell);
+    }
+    CellTable& t = tables_[static_cast<std::size_t>(slot)];
+    SCK_EXPECTS(!plane_any(t.lanes & lanes) &&
+                "a lane hosts at most one fault per cell");
+    t.lanes |= lanes;
+    for (int w = 0; w < PlaneTraits<P>::kWords; ++w) {
+      if (PlaneTraits<P>::word(lanes, w) != 0) t.words |= 1u << w;
+    }
+    for (std::size_t row = 0; row < 8; ++row) {
+      if (faulty_lut[row] & 1u) t.rows[0][row] |= lanes;
+      if (faulty_lut[row] & 2u) t.rows[1][row] |= lanes;
+    }
   }
 
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
+  [[nodiscard]] bool empty() const { return tables_.empty(); }
 
   /// Hot-path occupancy probe: does any lane corrupt this cell?
   [[nodiscard]] bool cell_faulty(int cell) const {
-    return plane_any(faulty_lanes_[static_cast<std::size_t>(cell)]);
+    return slot_[static_cast<std::size_t>(cell)] >= 0;
   }
 
-  /// All entries (a batch holds at most W).
-  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
-
-  /// Indices of the entries corrupting `cell`. The blend loops iterate
-  /// this instead of filtering entries(): with W faults per batch landing
-  /// on the same unit, a full scan per faulty cell per sample is the
-  /// difference between flat and W-linear faulty-cell cost.
-  [[nodiscard]] std::span<const std::uint32_t> cell_entries(int cell) const {
-    return by_cell_[static_cast<std::size_t>(cell)];
+  /// The lane truth table of a faulty cell (cell_faulty(cell) must hold).
+  [[nodiscard]] const CellTable& table(int cell) const {
+    return tables_[static_cast<std::size_t>(
+        slot_[static_cast<std::size_t>(cell)])];
   }
 
  private:
-  std::vector<P> faulty_lanes_;  ///< per cell: lanes with a fault
-  std::vector<std::vector<std::uint32_t>> by_cell_;  ///< per cell: entries
-  std::vector<Entry> entries_;
+  std::vector<int> slot_;  ///< per cell: index into tables_, or -1
+  std::vector<int> cells_;  ///< cells with a table, for clear()
+  std::vector<CellTable> tables_;
 };
 
 /// The 64-lane reference lane-fault table.

@@ -6,7 +6,9 @@
 // unit generically.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/word.h"
@@ -147,7 +149,8 @@ class FaultableUnit {
   // Same contract as eval_cell, but over lane planes of any width: each
   // helper advances all W trials with the hand-compiled golden expression,
   // routing the unit's single faulty cell through the compiled CellBatch
-  // instead. The batch path does not feed CellUsageRecorder — usage
+  // instead and splicing an installed lane-fault table into the lanes it
+  // corrupts. The batch path does not feed CellUsageRecorder — usage
   // recording is a scalar-path analysis (the hot campaign loops run
   // without one).
 
@@ -162,7 +165,7 @@ class FaultableUnit {
     LaneDuoT<P> out{x ^ c, (a & b) | (x & c)};
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
-      out = blend_lane_faults3(cell, a, b, c, out);
+      blend_lane_faults<P>(cell, {&a, &b, &c}, {&out.out0, &out.out1});
     }
     return out;
   }
@@ -175,7 +178,7 @@ class FaultableUnit {
     P out = a & b;
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
-      out = blend_lane_faults2(cell, a, b, out);
+      blend_lane_faults<P>(cell, {&a, &b}, {&out});
     }
     return out;
   }
@@ -188,7 +191,7 @@ class FaultableUnit {
     P out = a ^ b;
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
-      out = blend_lane_faults2(cell, a, b, out);
+      blend_lane_faults<P>(cell, {&a, &b}, {&out});
     }
     return out;
   }
@@ -201,7 +204,7 @@ class FaultableUnit {
     P out = a | b;
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
-      out = blend_lane_faults2(cell, a, b, out);
+      blend_lane_faults<P>(cell, {&a, &b}, {&out});
     }
     return out;
   }
@@ -215,7 +218,7 @@ class FaultableUnit {
     LaneDuoT<P> out{a ^ b, a & b};
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
-      out = blend_lane_faults2_duo(cell, a, b, out);
+      blend_lane_faults<P>(cell, {&a, &b}, {&out.out0, &out.out1});
     }
     return out;
   }
@@ -229,7 +232,7 @@ class FaultableUnit {
     P out = g | (p & c);
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
-      out = blend_lane_faults3(cell, g, p, c, LaneDuoT<P>{out, P{}}).out0;
+      blend_lane_faults<P>(cell, {&g, &p, &c}, {&out});
     }
     return out;
   }
@@ -243,7 +246,7 @@ class FaultableUnit {
     P out = (d0 & ~sel) | (d1 & sel);
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
-      out = blend_lane_faults3(cell, d0, d1, sel, LaneDuoT<P>{out, P{}}).out0;
+      blend_lane_faults<P>(cell, {&d0, &d1, &sel}, {&out});
     }
     return out;
   }
@@ -258,84 +261,36 @@ class FaultableUnit {
     return static_cast<const LaneFaultSetT<P>*>(lane_faults_);
   }
 
-  /// Replace the golden outputs of a 3-input cell on every lane the table
-  /// corrupts. Entries come from the per-cell index, and each is blended
-  /// word-sparsely: an entry's lanes live in the few (usually one) 64-bit
-  /// words where its mask is nonzero, so the faulty LUT is evaluated on
-  /// those words only. That keeps the total faulty-cell cost of a campaign
-  /// independent of the plane width W instead of scaling with it.
-  template <typename P>
-  [[nodiscard]] LaneDuoT<P> blend_lane_faults3(int cell, const P& a,
-                                               const P& b, const P& c,
-                                               LaneDuoT<P> golden) const {
-    const LaneFaultSetT<P>* table = lane_fault_table<P>();
-    for (const std::uint32_t idx : table->cell_entries(cell)) {
-      const auto& e = table->entries()[idx];
-      for (int w = 0; w < PlaneTraits<P>::kWords; ++w) {
-        const std::uint64_t lanes = PlaneTraits<P>::word(e.lanes, w);
-        if (lanes == 0) continue;
-        const std::uint64_t aw = PlaneTraits<P>::word(a, w);
-        const std::uint64_t bw = PlaneTraits<P>::word(b, w);
-        const std::uint64_t cw = PlaneTraits<P>::word(c, w);
-        PlaneTraits<P>::set_word(
-            golden.out0, w,
-            (PlaneTraits<P>::word(golden.out0, w) & ~lanes) |
-                (CellBatch::eval3(e.batch.tt[0], aw, bw, cw) & lanes));
-        PlaneTraits<P>::set_word(
-            golden.out1, w,
-            (PlaneTraits<P>::word(golden.out1, w) & ~lanes) |
-                (CellBatch::eval3(e.batch.tt[1], aw, bw, cw) & lanes));
+  /// Splice a faulty cell's lane truth table into its golden outputs.
+  /// Only the 64-bit words holding faulty lanes are visited; each builds
+  /// the 2^kInputs input minterms once (row = in[0] | in[1]<<1 | ...) and
+  /// ORs each with its row mask. A faulty cell therefore costs one pass
+  /// per touched word however many faults share it, and nothing per
+  /// untouched word, whatever the plane width W.
+  template <typename P, std::size_t kInputs, std::size_t kOutputs>
+  void blend_lane_faults(int cell, const P* const (&in)[kInputs],
+                         P* const (&out)[kOutputs]) const {
+    using T = PlaneTraits<P>;
+    const auto& table = lane_fault_table<P>()->table(cell);
+    for (std::uint32_t words = table.words; words != 0; words &= words - 1) {
+      const int w = std::countr_zero(words);
+      std::uint64_t minterm[std::size_t{1} << kInputs] = {~std::uint64_t{0}};
+      for (std::size_t i = 0; i < kInputs; ++i) {
+        const std::uint64_t x = T::word(*in[i], w);
+        for (std::size_t r = 0; r < (std::size_t{1} << i); ++r) {
+          minterm[r | (std::size_t{1} << i)] = minterm[r] & x;
+          minterm[r] &= ~x;
+        }
+      }
+      const std::uint64_t keep = ~T::word(table.lanes, w);
+      for (std::size_t o = 0; o < kOutputs; ++o) {
+        std::uint64_t v = T::word(*out[o], w) & keep;
+        for (std::size_t r = 0; r < (std::size_t{1} << kInputs); ++r) {
+          v |= minterm[r] & T::word(table.rows[o][r], w);
+        }
+        T::set_word(*out[o], w, v);
       }
     }
-    return golden;
-  }
-
-  /// Dual-output 2-input twin of blend_lane_faults3 (propagate/generate
-  /// cells).
-  template <typename P>
-  [[nodiscard]] LaneDuoT<P> blend_lane_faults2_duo(int cell, const P& a,
-                                                   const P& b,
-                                                   LaneDuoT<P> golden) const {
-    const LaneFaultSetT<P>* table = lane_fault_table<P>();
-    for (const std::uint32_t idx : table->cell_entries(cell)) {
-      const auto& e = table->entries()[idx];
-      for (int w = 0; w < PlaneTraits<P>::kWords; ++w) {
-        const std::uint64_t lanes = PlaneTraits<P>::word(e.lanes, w);
-        if (lanes == 0) continue;
-        const std::uint64_t aw = PlaneTraits<P>::word(a, w);
-        const std::uint64_t bw = PlaneTraits<P>::word(b, w);
-        PlaneTraits<P>::set_word(
-            golden.out0, w,
-            (PlaneTraits<P>::word(golden.out0, w) & ~lanes) |
-                (CellBatch::eval2(e.batch.tt[0], aw, bw) & lanes));
-        PlaneTraits<P>::set_word(
-            golden.out1, w,
-            (PlaneTraits<P>::word(golden.out1, w) & ~lanes) |
-                (CellBatch::eval2(e.batch.tt[1], aw, bw) & lanes));
-      }
-    }
-    return golden;
-  }
-
-  /// Single-output 2-input twin of blend_lane_faults3.
-  template <typename P>
-  [[nodiscard]] P blend_lane_faults2(int cell, const P& a, const P& b,
-                                     P golden) const {
-    const LaneFaultSetT<P>* table = lane_fault_table<P>();
-    for (const std::uint32_t idx : table->cell_entries(cell)) {
-      const auto& e = table->entries()[idx];
-      for (int w = 0; w < PlaneTraits<P>::kWords; ++w) {
-        const std::uint64_t lanes = PlaneTraits<P>::word(e.lanes, w);
-        if (lanes == 0) continue;
-        const std::uint64_t aw = PlaneTraits<P>::word(a, w);
-        const std::uint64_t bw = PlaneTraits<P>::word(b, w);
-        PlaneTraits<P>::set_word(
-            golden, w,
-            (PlaneTraits<P>::word(golden, w) & ~lanes) |
-                (CellBatch::eval2(e.batch.tt[0], aw, bw) & lanes));
-      }
-    }
-    return golden;
   }
 
   int width_;

@@ -20,6 +20,7 @@
 #include "hw/non_restoring_divider.h"
 #include "hw/restoring_divider.h"
 #include "hw/ripple_carry_adder.h"
+#include "hw/unit.h"
 #include "pack_test_util.h"
 
 namespace sck::fault {
@@ -267,6 +268,134 @@ TEST(BatchUnits, RestoringDividerLaneExact) {
 }
 TEST(BatchUnits, NonRestoringDividerLaneExact) {
   divider_lane_exact<hw::NonRestoringDivider>();
+}
+
+// ---- per-lane fault tables: every cell helper vs a scalar LUT oracle -------
+
+/// A unit of `cells` cells of one kind that exposes the protected *_batch
+/// cell helpers, so a lane-fault table is checked one cell at a time.
+class CellProbe : public hw::FaultableUnit {
+ public:
+  CellProbe(hw::CellKind kind, int cells)
+      : FaultableUnit(1), kind_(kind), cells_(cells) {}
+
+  [[nodiscard]] int cell_count() const override { return cells_; }
+  [[nodiscard]] hw::CellKind cell_kind(int) const override { return kind_; }
+
+  /// The cell's outputs on input planes (a, b, c): row = a | b<<1 | c<<2,
+  /// 2-input kinds ignore c and single-output kinds leave out1 zero.
+  template <typename P>
+  [[nodiscard]] hw::LaneDuoT<P> eval(int cell, const P& a, const P& b,
+                                     const P& c) const {
+    switch (kind_) {
+      case hw::CellKind::kFullAdder:
+        return fa_batch(cell, a, b, c);
+      case hw::CellKind::kAnd:
+        return {and_batch(cell, a, b), P{}};
+      case hw::CellKind::kPg:
+        return pg_batch(cell, a, b);
+      case hw::CellKind::kCarry:
+        return {carry_batch(cell, a, b, c), P{}};
+      case hw::CellKind::kXor:
+        return {xor_batch(cell, a, b), P{}};
+      case hw::CellKind::kOr:
+        return {or_batch(cell, a, b), P{}};
+      case hw::CellKind::kMux:
+        return {mux_batch(cell, a, b, c), P{}};
+    }
+    SCK_UNREACHABLE();
+  }
+
+ private:
+  hw::CellKind kind_;
+  int cells_;
+};
+
+template <typename P>
+class LaneFaultTableTest : public ::testing::Test {};
+using PlaneTypes =
+    ::testing::Types<hw::Plane64, hw::Plane128, hw::Plane256, hw::Plane512>;
+TYPED_TEST_SUITE(LaneFaultTableTest, PlaneTypes);
+
+// Every kind x line x stuck value at once: each fault of the kind owns the
+// lanes L with (5L + cell + round) mod (faults + 1) == its index, so several
+// faults share a cell and each spreads over every plane word; the leftover
+// class stays golden. Round 1 clears the table and re-adds a different
+// assignment on a different cell set (the arm_lane_faults path). The oracle
+// is a per-lane scalar LUT lookup over the same assignment.
+TYPED_TEST(LaneFaultTableTest, EveryCellHelperMatchesScalarLutPerLane) {
+  using P = TypeParam;
+  constexpr int kW = hw::PlaneTraits<P>::kLanes;
+  constexpr int kCells = 3;
+  for (int k = 0; k <= static_cast<int>(hw::CellKind::kMux); ++k) {
+    const auto kind = static_cast<hw::CellKind>(k);
+    const int faults = hw::cell_fault_count(kind);
+    const int rows = hw::cell_rows(kind);
+    const int outputs = hw::cell_outputs(kind);
+    CellProbe unit(kind, kCells);
+    hw::LaneFaultSetT<P> table(kCells);
+    for (int round = 0; round < 2; ++round) {
+      table.clear();
+      // site[cell * kW + lane] = fault index hosted there, or -1.
+      std::vector<int> site(static_cast<std::size_t>(kCells * kW), -1);
+      for (const int cell : {round, 2}) {
+        for (int f = 0; f < faults; ++f) {
+          P lanes{};
+          for (int lane = 0; lane < kW; ++lane) {
+            if ((5 * lane + cell + round) % (faults + 1) != f) continue;
+            lanes |= hw::plane_bit<P>(lane);
+            site[static_cast<std::size_t>(cell * kW + lane)] = f;
+          }
+          ASSERT_TRUE(hw::plane_any(lanes));
+          table.add(cell, hw::faulty_cell_lut(kind, f / 2, f % 2 != 0),
+                    lanes);
+        }
+      }
+      unit.set_lane_faults(&table);
+      // Lane L sees row (L + d) mod 8 on draw d: every row on every lane.
+      for (int d = 0; d < 8; ++d) {
+        P in[3] = {};
+        for (int lane = 0; lane < kW; ++lane) {
+          const int row = (lane + d) % 8;
+          for (int i = 0; i < 3; ++i) {
+            if ((row >> i) & 1) in[i] |= hw::plane_bit<P>(lane);
+          }
+        }
+        for (int cell = 0; cell < kCells; ++cell) {
+          const hw::LaneDuoT<P> out = unit.eval(cell, in[0], in[1], in[2]);
+          for (int lane = 0; lane < kW; ++lane) {
+            const int f = site[static_cast<std::size_t>(cell * kW + lane)];
+            const hw::CellLut lut =
+                f < 0 ? hw::golden_lut(kind)
+                      : hw::faulty_cell_lut(kind, f / 2, f % 2 != 0);
+            const unsigned want =
+                lut[static_cast<std::size_t>(((lane + d) % 8) % rows)];
+            const unsigned got =
+                static_cast<unsigned>(hw::plane_test(out.out0, lane)) |
+                (outputs == 2
+                     ? static_cast<unsigned>(hw::plane_test(out.out1, lane))
+                           << 1
+                     : 0u);
+            ASSERT_EQ(want, got)
+                << "kind=" << k << " cell=" << cell << " lane=" << lane
+                << " fault=" << f << " draw=" << d << " round=" << round;
+          }
+        }
+      }
+      unit.set_lane_faults(nullptr);
+    }
+  }
+}
+
+TEST(LaneFaultTableDeathTest, OverlappingLanesOnOneCellAbort) {
+  hw::LaneFaultSetT<hw::Plane256> table(2);
+  const hw::CellLut lut = hw::faulty_cell_lut(hw::CellKind::kAnd, 0, true);
+  table.add(0, lut, hw::plane_bit<hw::Plane256>(70));
+  table.add(1, lut, hw::plane_bit<hw::Plane256>(70));  // other cell: fine
+  EXPECT_DEATH(table.add(0, lut,
+                         hw::plane_bit<hw::Plane256>(3) |
+                             hw::plane_bit<hw::Plane256>(70)),
+               "at most one fault per cell");
 }
 
 // ---- trial functors: lane outcomes == scalar outcomes ----------------------
